@@ -56,7 +56,7 @@ func main() {
 	g := &gate{}
 	comparePar(g, base.Report.Parallel, fresh.Report.Parallel)
 	comparePool(g, base.Report.Pool, fresh.Report.Pool)
-	compareCache(g, base.Report.Cache, fresh.Report.Cache)
+	compareOneShot(g, base.Report.OneShot, fresh.Report.OneShot)
 	compareSession(g, base.Report.Session, fresh.Report.Session)
 	compareBatch(g, base.Report.Batch, fresh.Report.Batch)
 	compareStream(g, base.Report.Stream, fresh.Report.Stream)
@@ -124,13 +124,16 @@ func comparePool(g *gate, base, fresh []bench.PoolCase) {
 	}
 }
 
-func compareCache(g *gate, base, fresh []bench.CacheCase) {
+// compareOneShot gates the one-shot-Sat sweep, the baselines' "cache"
+// section (see bench.OneShotCase): the serial workload total and the
+// worker-pool enumeration total are pinned.
+func compareOneShot(g *gate, base, fresh []bench.OneShotCase) {
 	if len(base) == 0 && len(fresh) > 0 {
 		fmt.Printf("  cache: %d case(s) in fresh run, none in baseline — not gated\n", len(fresh))
 		return
 	}
 	type key struct{ name, sem string }
-	byKey := map[key]bench.CacheCase{}
+	byKey := map[key]bench.OneShotCase{}
 	for _, c := range fresh {
 		byKey[key{c.Name, c.Semantics}] = c
 	}
@@ -142,8 +145,6 @@ func compareCache(g *gate, base, fresh []bench.CacheCase) {
 			continue
 		}
 		g.eq("cache", id, "np_calls", b.NPCalls, f.NPCalls)
-		g.eq("cache", id, "cache_hits", b.Hits, f.Hits)
-		g.eq("cache", id, "cache_misses", b.Misses, f.Misses)
 		g.eq("cache", id, "par_np_calls", b.ParNP, f.ParNP)
 	}
 }

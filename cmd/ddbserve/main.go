@@ -71,8 +71,8 @@ func main() {
 		if rec.TornTail {
 			log.Printf("ddbserve: store: truncated torn tail (%d bytes) — crash recovery, re-deriving dropped entries on demand", rec.Dropped)
 		}
-		log.Printf("ddbserve: store: recovered %d artifacts, %d verdicts, %d interner entries from %s",
-			rec.Artifacts, rec.Verdicts, rec.Interns, *storeDir)
+		log.Printf("ddbserve: store: recovered %d artifacts, %d verdicts from %s",
+			rec.Artifacts, rec.Verdicts, *storeDir)
 	}
 
 	srv := serve.New(serve.Config{
@@ -140,8 +140,8 @@ func main() {
 	}
 	if st != nil {
 		fst := st.Stats()
-		log.Printf("ddbserve: store flushed on drain (%d artifacts, %d verdicts, %d interns, %d bytes)",
-			fst.Artifacts, fst.Verdicts, fst.Interns, fst.SizeBytes)
+		log.Printf("ddbserve: store flushed on drain (%d artifacts, %d verdicts, %d bytes)",
+			fst.Artifacts, fst.Verdicts, fst.SizeBytes)
 	}
 	log.Printf("ddbserve: clean drain, bye")
 }

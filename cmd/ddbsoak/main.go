@@ -5,10 +5,6 @@
 // the unit suites' bounded cross-validation (run it for minutes or
 // hours; `-iters` bounds the run for CI).
 //
-// A random subset of iterations (-cachefrac) is additionally replayed
-// with the oracle verdict cache attached, cross-checking that caching
-// never moves a verdict, a model set, or the logical NP-call total.
-//
 // Setting -faultrate, -deadline or -conflictbudget switches on the
 // chaos layer: every iteration is additionally replayed under the given
 // budget with seeded fault injection, asserting the three-valued
@@ -51,7 +47,7 @@
 //
 // Usage:
 //
-//	ddbsoak [-iters N] [-seed S] [-maxatoms 5] [-cachefrac 0.25] [-cachecap N]
+//	ddbsoak [-iters N] [-seed S] [-maxatoms 5]
 //	        [-deadline D] [-conflictbudget N] [-faultrate F] [-faultseed S]
 //	        [-servefrac F] [-sessionfrac F] [-planfrac F]
 //	        [-clusternodes N] [-churnfrac F] [-v]
@@ -73,7 +69,6 @@ import (
 	"time"
 
 	"disjunct/internal/budget"
-	"disjunct/internal/cache"
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/faults"
@@ -93,8 +88,6 @@ func main() {
 	iters := flag.Int("iters", 0, "iterations to run (0 = until interrupted)")
 	seed := flag.Int64("seed", time.Now().UnixNano(), "rng seed")
 	maxAtoms := flag.Int("maxatoms", 5, "maximum vocabulary size (brute force is 2^n)")
-	cacheFrac := flag.Float64("cachefrac", 0.25, "fraction of iterations replayed with the oracle verdict cache")
-	cacheCap := flag.Int("cachecap", 0, "verdict cache capacity (0 = default)")
 	deadline := flag.Duration("deadline", 0, "chaos mode: per-query wall-clock budget (0 = off)")
 	conflictBudget := flag.Int64("conflictbudget", 0, "chaos mode: per-query SAT-conflict budget (0 = unlimited)")
 	faultRate := flag.Float64("faultrate", 0, "chaos mode: injected fault rate (0 = none)")
@@ -111,9 +104,8 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	fmt.Printf("ddbsoak: seed=%d maxatoms=%d cachefrac=%g\n", *seed, *maxAtoms, *cacheFrac)
+	fmt.Printf("ddbsoak: seed=%d maxatoms=%d\n", *seed, *maxAtoms)
 
-	cc := &cacheChecker{cache: cache.New(*cacheCap)}
 	var chaos *chaosChecker
 	if *deadline > 0 || *conflictBudget > 0 || *faultRate > 0 {
 		chaos = &chaosChecker{
@@ -148,8 +140,8 @@ func main() {
 				fmt.Printf("ddbsoak: store open: %v\n", err)
 				os.Exit(2)
 			}
-			fmt.Printf("store: dir=%s recovered artifacts=%d verdicts=%d interns=%d torntail=%v\n",
-				*storeDir, rec.Artifacts, rec.Verdicts, rec.Interns, rec.TornTail)
+			fmt.Printf("store: dir=%s recovered artifacts=%d verdicts=%d torntail=%v\n",
+				*storeDir, rec.Artifacts, rec.Verdicts, rec.TornTail)
 		}
 		sx = &sessionChecker{mgr: session.NewManager(session.Config{Store: st}), st: st, dir: *storeDir}
 		fmt.Printf("session: sessionfrac=%g\n", *sessionFrac)
@@ -175,9 +167,6 @@ func main() {
 			d = gen.Random(rng, gen.NormalNoIC(n, 1+rng.Intn(6)))
 		}
 		ok := check(d, rng)
-		if *cacheFrac > 0 && rng.Float64() < *cacheFrac {
-			ok = cc.check(d, rng) && ok
-		}
 		if chaos != nil {
 			ok = chaos.check(d, rng, i) && ok
 		}
@@ -197,11 +186,6 @@ func main() {
 			divergences++
 			fmt.Printf("DIVERGENCE at iteration %d (seed %d)\nDB:\n%s\n", i, *seed, d.String())
 		}
-	}
-	if cc.checked > 0 {
-		rate := float64(cc.hits) / float64(cc.hits+cc.misses)
-		fmt.Printf("cache cross-check: %d iterations, hits=%d misses=%d rate=%.1f%%\n",
-			cc.checked, cc.hits, cc.misses, 100*rate)
 	}
 	// Drain the in-process server before the chaos goroutine-settle
 	// check: its listener and idle keep-alive connections must be gone
@@ -313,11 +297,6 @@ func (ch *chaosChecker) check(d *db.DB, rng *rand.Rand, iter int) bool {
 				sem, d.Voc.LitString(lit), got, want)
 			ok = false
 		}
-		c := o.Counters()
-		if c.CacheHits+c.CacheMisses != 0 {
-			fmt.Printf("  chaos %s: cacheless oracle reported hits/misses %+v\n", sem, c)
-			ok = false
-		}
 	}
 
 	// Budgeted parallel enumeration vs the unbudgeted worker pool:
@@ -332,10 +311,10 @@ func (ch *chaosChecker) check(d *db.DB, rng *rand.Rand, iter int) bool {
 	eng := models.NewEngine(d, o)
 	got := map[string]bool{}
 	ch.queries++
-	count, err := eng.MinimalModelsParBudgeted(0, func(m logic.Interp) bool {
+	count, err := models.Drain(eng.IterateMinimalModelsPar(0, models.ParOptions{Workers: 4}), func(m logic.Interp) bool {
 		got[m.Key()] = true
 		return true
-	}, models.ParOptions{Workers: 4})
+	})
 	for k := range got {
 		if !refSet[k] {
 			fmt.Printf("  chaos enumeration yielded a non-minimal model %s\n", k)
@@ -922,73 +901,6 @@ func (sx *sessionChecker) replay() bool {
 	}
 	fmt.Printf("store replay: recovered artifacts=%d verdicts=%d, prewarmed=%d, replayed=%d/%d, coldcompiles=%d\n",
 		rec.Artifacts, rec.Verdicts, warmed, replayed, len(sx.recorded), st.ColdCompiles)
-	return ok
-}
-
-// cacheChecker replays production-semantics queries with the oracle
-// verdict cache attached — shared across iterations, so hits
-// accumulate across databases — and cross-checks the cached run
-// against an uncached one: verdicts, model sets, and logical NP-call
-// totals must all be identical, and the cached oracle's hit/miss split
-// must account for every call.
-type cacheChecker struct {
-	cache   *cache.Cache
-	checked int
-	hits    int64
-	misses  int64
-}
-
-func (cc *cacheChecker) check(d *db.DB, rng *rand.Rand) bool {
-	cc.checked++
-	lit := logic.NegLit(logic.Atom(rng.Intn(d.N())))
-	ok := true
-	for _, sem := range []string{"GCWA", "EGCWA", "ECWA", "CCWA", "DSM", "PERF"} {
-		if sem == "PERF" && d.HasIntegrityClauses() {
-			continue
-		}
-		plainOra := oracle.NewNP()
-		cachedOra := oracle.NewNP().WithCache(cc.cache)
-		plain, _ := core.New(sem, core.Options{Oracle: plainOra})
-		cached, _ := core.New(sem, core.Options{Oracle: cachedOra})
-
-		wantV, wantErr := plain.InferLiteral(d, lit)
-		gotV, gotErr := cached.InferLiteral(d, lit)
-		if wantV != gotV || (wantErr == nil) != (gotErr == nil) {
-			fmt.Printf("  cache %s ⊨ %s: cached=%v/%v uncached=%v/%v\n",
-				sem, d.Voc.LitString(lit), gotV, gotErr, wantV, wantErr)
-			ok = false
-		}
-
-		wantM := map[string]bool{}
-		gotM := map[string]bool{}
-		plain.Models(d, 0, func(m logic.Interp) bool { wantM[m.Key()] = true; return true })
-		cached.Models(d, 0, func(m logic.Interp) bool { gotM[m.Key()] = true; return true })
-		if len(wantM) != len(gotM) {
-			fmt.Printf("  cache %s models: cached=%d uncached=%d\n", sem, len(gotM), len(wantM))
-			ok = false
-		} else {
-			for k := range wantM {
-				if !gotM[k] {
-					fmt.Printf("  cache %s models: model sets diverge\n", sem)
-					ok = false
-					break
-				}
-			}
-		}
-
-		p, c := plainOra.Counters(), cachedOra.Counters()
-		if p.NPCalls != c.NPCalls {
-			fmt.Printf("  cache %s: NP-call total moved (cached=%d uncached=%d)\n", sem, c.NPCalls, p.NPCalls)
-			ok = false
-		}
-		if c.CacheHits+c.CacheMisses != c.NPCalls {
-			fmt.Printf("  cache %s: hits(%d)+misses(%d) != NP calls(%d)\n",
-				sem, c.CacheHits, c.CacheMisses, c.NPCalls)
-			ok = false
-		}
-		cc.hits += c.CacheHits
-		cc.misses += c.CacheMisses
-	}
 	return ok
 }
 

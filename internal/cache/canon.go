@@ -1,43 +1,23 @@
-// Package cache memoises NP-oracle verdicts across structurally
-// equivalent CNF queries.
+// Package cache computes the keys under which compiled databases are
+// shared: the exact query fingerprint (RawKey), which keys the session
+// verdict memo, the store, the router's consistent-hash ring and the
+// keyspace arcs, and the canonical structural key (Canonicalize),
+// which names a compiled database up to variable renaming.
 //
-// The enumeration procedures behind the paper's Π₂ᵖ verifiers (the
-// GCWA/ECWA minimal-model co-searches, the signature-blocking
-// enumerators) re-ask the SAT oracle near-identical questions that
-// differ only by clause order, duplicated literals, or a consistent
-// renaming of the variables. This package provides the two pieces a
-// sound memoisation layer needs:
-//
-//   - a canonicalising interner (Canonicalize) that maps a CNF to a
-//     structural key — literals and clauses sorted and deduplicated,
-//     tautologies dropped, variables renamed canonically — such that
-//     EQUAL KEYS GUARANTEE ISOMORPHIC CNFs (the canonical form is the
-//     renamed clause set itself, so two inputs with the same key are
-//     both variable renamings of one clause set, hence
-//     equisatisfiable); and
-//
-//   - a sharded, goroutine-safe LRU (Cache) mapping keys to verdicts
-//     and witness models.
+// Canonicalize maps a CNF to a structural key — literals and clauses
+// sorted and deduplicated, tautologies dropped, variables renamed
+// canonically — such that EQUAL KEYS GUARANTEE ISOMORPHIC CNFs: the
+// key is the renamed clause set itself, so two inputs with the same
+// key are both variable renamings of one clause set.
 //
 // The renaming is computed nauty-style in miniature: iterated
 // signature refinement to a fixpoint, then branching individualization
 // over the first ambiguous signature class, keeping the
 // lexicographically smallest serialized form. Soundness is
 // one-directional by construction: a key collision between
-// non-isomorphic CNFs is impossible (the key IS the canonical clause
-// set, compared byte-for-byte by the shard maps), while two isomorphic
-// CNFs may in rare cases receive different keys when the
-// individualization budget runs out on a highly symmetric instance —
-// that costs a cache hit, never correctness.
-//
-// Witness-model reuse is stricter than verdict reuse: a SAT witness is
-// replayed only when the querying CNF is byte-identical (same variable
-// count, same clause sequence, Canon.Raw) to the one that produced it.
-// The CDCL solver is deterministic, so an exact-repeat replay returns
-// precisely the model a fresh solve would — which keeps cached runs
-// control-flow-identical to uncached ones, the invariant the bench
-// audit checks (hits + misses == uncached NP calls). UNSAT verdicts
-// carry no model and are reused across the whole isomorphism class.
+// non-isomorphic CNFs is impossible, while two isomorphic CNFs may in
+// rare cases receive different keys when the individualization budget
+// runs out on a highly symmetric instance.
 package cache
 
 import (
@@ -49,45 +29,39 @@ import (
 )
 
 // Key is the canonical structural key of a CNF: the serialized
-// canonical clause set. Keys compare byte-for-byte (shard maps are
-// keyed on them directly), so equal keys always denote isomorphic
-// CNFs.
+// canonical clause set. Keys compare byte-for-byte, so equal keys
+// always denote isomorphic CNFs.
 type Key string
 
-// Canon is the canonicalization result for one oracle query.
+// Canon is the canonicalization result for one CNF.
 type Canon struct {
 	// Key is the structural key: equal Keys ⇒ isomorphic CNFs.
 	Key Key
 	// Raw is the exact query fingerprint — variable count and clause
-	// sequence verbatim (order, duplicates and all). Witness models are
-	// reused only between queries with equal Raw.
+	// sequence verbatim (order, duplicates and all); see RawKey.
 	Raw string
-	// Vars is the number of distinct variables occurring in the CNF.
-	Vars int
 }
 
 // branchBudget bounds the number of complete candidate labelings the
 // individualization search will serialize for one query. Most queries
 // refine to discrete signatures immediately (budget untouched); the
 // bound only kicks in on highly symmetric instances, where exhausting
-// it degrades hit rate, not correctness.
+// it may split an isomorphism class across keys, never merge two.
 const branchBudget = 48
 
 // Canonicalize computes the structural key and exact fingerprint of a
 // CNF query over nVars variables. It never mutates cnf.
 func Canonicalize(nVars int, cnf logic.CNF) Canon {
-	raw := rawFingerprint(nVars, cnf)
 	nm := normalize(cnf)
 	st := &canonState{clauses: nm.clauses, n: nm.n, budget: branchBudget}
 	sig := st.initialSigs()
 	st.refine(sig)
 	st.search(sig, 0)
-	return Canon{Key: Key(st.best), Raw: raw, Vars: nm.n}
+	return Canon{Key: Key(st.best), Raw: RawKey(nVars, cnf)}
 }
 
-// normalized is the renaming-ready normal form shared by the full
-// canonical labeling (Canonicalize) and the cheap structural
-// fingerprint (Fingerprint): literals sorted and deduplicated per
+// normalized is the renaming-ready normal form the canonical labeling
+// starts from: literals sorted and deduplicated per
 // clause, tautological clauses dropped, variables mapped onto dense
 // ids in order of first occurrence, clauses sorted and deduplicated.
 // Two isomorphic inputs normalize to clause sets that are variable
@@ -95,14 +69,12 @@ func Canonicalize(nVars int, cnf logic.CNF) Canon {
 type normalized struct {
 	clauses [][]int // dense literals 2v / 2v+1, lit-sorted, clause-deduped
 	n       int     // dense variable count
-	lits    int     // total literal count of the normalized clause set
 }
 
-// normalize computes the shared normal form. It never mutates cnf.
+// normalize computes the normal form. It never mutates cnf.
 func normalize(cnf logic.CNF) normalized {
 	denseOf := map[logic.Atom]int{}
 	nDense := 0
-	lits := 0
 	clauses := make([][]int, 0, len(cnf))
 	for _, cl := range cnf {
 		c := append([]logic.Lit(nil), cl...)
@@ -137,45 +109,7 @@ func normalize(cnf logic.CNF) normalized {
 	}
 	slices.SortFunc(clauses, slices.Compare)
 	clauses = slices.CompactFunc(clauses, slices.Equal[[]int])
-	for _, c := range clauses {
-		lits += len(c)
-	}
-	return normalized{clauses: clauses, n: nDense, lits: lits}
-}
-
-// Fingerprint computes a cheap isomorphism-invariant structural hash of
-// a query: the hash of the normalized clause-size multiset combined
-// with the sorted multiset of per-variable occurrence profiles (the
-// degree/polarity signature each variable would seed the full
-// refinement with). Isomorphic CNFs always fingerprint equally —
-// queries with equal canonical Keys have equal fingerprints — while
-// unequal classes may rarely collide, which costs only a detour
-// through full canonicalization, never correctness. It also returns
-// the normalized literal count (the retention-bound measure, itself
-// class-invariant). Fingerprint does no refinement or branching: one
-// pass plus small sorts.
-func Fingerprint(nVars int, cnf logic.CNF) (fp uint64, lits int) {
-	_ = nVars // unused variables never influence the structural class
-	nm := normalize(cnf)
-	occ := make([][]uint64, nm.n)
-	for _, c := range nm.clauses {
-		for _, dl := range c {
-			occ[dl>>1] = append(occ[dl>>1], mix(uint64(len(c)), uint64(dl&1)))
-		}
-	}
-	vsig := make([]uint64, nm.n)
-	for v := range vsig {
-		slices.Sort(occ[v])
-		vsig[v] = hashSeq(0x9e3779b97f4a7c15, occ[v])
-	}
-	slices.Sort(vsig) // multiset: renaming-invariant
-	return hashSeq(mix(uint64(nm.n), uint64(len(nm.clauses))), vsig), nm.lits
-}
-
-// RawKey is the exact query fingerprint (Canon.Raw) computed without
-// the canonical labeling: variable count and clause sequence verbatim.
-func RawKey(nVars int, cnf logic.CNF) string {
-	return rawFingerprint(nVars, cnf)
+	return normalized{clauses: clauses, n: nDense}
 }
 
 // canonState is the working state of the canonical-labeling search
@@ -347,9 +281,9 @@ func (st *canonState) serializeWith(sig []uint64) []byte {
 	return buf
 }
 
-// rawFingerprint serializes the query exactly as posed: variable count
-// and clause sequence verbatim.
-func rawFingerprint(nVars int, cnf logic.CNF) string {
+// RawKey is the exact query fingerprint (Canon.Raw) computed without
+// the canonical labeling: variable count and clause sequence verbatim.
+func RawKey(nVars int, cnf logic.CNF) string {
 	buf := make([]byte, 0, 16+4*len(cnf))
 	buf = binary.AppendUvarint(buf, uint64(nVars))
 	buf = binary.AppendUvarint(buf, uint64(len(cnf)))

@@ -15,9 +15,8 @@ import (
 
 // This file is the pull-based surface of the model engine. Every
 // enumerator variant — serial or worker-pool, all-models or
-// (P;Z)-minimal — is exposed as a ModelIterator, and the historical
-// yield-callback entry points (the *Budgeted wrappers in budget.go)
-// are thin Drain adapters over these iterators. Pull composition is
+// (P;Z)-minimal — is exposed as a ModelIterator, and Drain adapts any
+// of them back to a budget-aware yield callback. Pull composition is
 // what the streaming endpoint and the batch planner build on: a
 // consumer controls pacing, can stop after any model without paying
 // for the rest, and receives the interruption cause as a typed error
@@ -311,6 +310,28 @@ func (e *Engine) IterateMinimalModelsPZPar(part Partition, limit int, opt ParOpt
 // terminal taxonomy back onto the push contract: io.EOF and ErrLimit
 // (and a yield refusal) are completion (nil error); anything else is
 // the typed interruption cause. Drain closes the iterator.
+//
+// This is the budget-aware yield boundary of the model engine. The
+// budget lives on the oracle (oracle.NP.WithBudget): every NP call
+// charges it and every solver polls it, and the iterators recover the
+// resulting budget.Interrupt into their typed terminal. Drain's result
+// follows the three-valued enumeration contract:
+//
+//   - err == nil: the enumeration COMPLETED; the yielded set is
+//     exactly what the unbudgeted push enumerator yields
+//     (byte-identical — the budget machinery never changes search
+//     order).
+//   - err != nil: the enumeration is INCOMPLETE; err is one of the
+//     typed causes (budget.ErrCanceled, ErrDeadline,
+//     ErrConflictBudget, ErrPropagationBudget, ErrNPCallBudget, or a
+//     fault-injection error wrapping one of these). Every model
+//     yielded before the trip is a genuine model — partial results
+//     are valid, just not exhaustive. count is the number of yields
+//     that actually happened.
+//
+// Over a worker-pool iterator a trip inside any worker drains the pool
+// (no goroutine leaks, no lost panics — see par.ForEach) and halts the
+// emitter, so no in-flight sibling yields after the trip.
 func Drain(it ModelIterator, yield func(logic.Interp) bool) (count int, err error) {
 	defer it.Close()
 	for {

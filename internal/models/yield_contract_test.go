@@ -15,7 +15,7 @@ import (
 // The yield contract, enforced for all six enumerator variants:
 //
 //  1. yield is never invoked again after it first returns false;
-//  2. yield is never invoked after the budgeted wrapper has returned
+//  2. yield is never invoked after Drain has returned
 //     with a budget-trip error — including from in-flight parallel
 //     workers that were mid-search when a sibling tripped.
 //
@@ -33,22 +33,22 @@ func allVariants() []variant {
 	opt := ParOptions{Workers: 4}
 	return []variant{
 		{"EnumerateModels", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
-			return e.EnumerateModelsBudgeted(limit, y)
+			return Drain(e.IterateModels(limit), y)
 		}},
 		{"MinimalModels", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
-			return e.MinimalModelsBudgeted(limit, y)
+			return Drain(e.IterateMinimalModels(limit), y)
 		}},
 		{"MinimalModelsPZ", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
-			return e.MinimalModelsPZBudgeted(FullMin(e.DB.N()), limit, y)
+			return Drain(e.IterateMinimalModelsPZ(FullMin(e.DB.N()), limit), y)
 		}},
 		{"EnumerateModelsPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
-			return e.EnumerateModelsParBudgeted(limit, y, opt)
+			return Drain(e.IterateModelsPar(limit, opt), y)
 		}},
 		{"MinimalModelsPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
-			return e.MinimalModelsParBudgeted(limit, y, opt)
+			return Drain(e.IterateMinimalModelsPar(limit, opt), y)
 		}},
 		{"MinimalModelsPZPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
-			return e.MinimalModelsPZParBudgeted(FullMin(e.DB.N()), limit, y, opt)
+			return Drain(e.IterateMinimalModelsPZPar(FullMin(e.DB.N()), limit, opt), y)
 		}},
 	}
 }
@@ -84,7 +84,7 @@ func TestYieldNeverInvokedAfterFalse(t *testing.T) {
 	}
 }
 
-// TestYieldNeverInvokedAfterBudgetTrip: after a budgeted wrapper has
+// TestYieldNeverInvokedAfterBudgetTrip: after Drain has
 // returned with a trip, no late worker may deliver another model.
 func TestYieldNeverInvokedAfterBudgetTrip(t *testing.T) {
 	for _, d := range randomDBs(307, 6) {

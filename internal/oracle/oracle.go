@@ -16,22 +16,6 @@
 // the per-cell call-count audit. Solvers for one-shot Sat queries are
 // drawn from a process-wide sync.Pool and recycled via Solver.Reset,
 // amortising watcher-list and arena allocations across queries.
-//
-// An opt-in memoization layer (WithCache) interns each one-shot Sat
-// query into a canonical structural key (package cache) and reuses
-// verdicts across structurally equivalent queries. The layer is
-// replay-identical: a cache hit returns exactly the (verdict, model)
-// pair a fresh solve would have produced — UNSAT verdicts are shared
-// across the whole isomorphism class (any solve of an unsatisfiable
-// CNF returns false), while SAT witnesses are replayed only for
-// byte-identical repeat queries (the CDCL solver is deterministic).
-// Consequently enabling the cache never changes any caller's control
-// flow: NPCalls totals, verdicts, and enumerated model sets are
-// identical with the cache on or off, and CacheHits + CacheMisses
-// equals the number of one-shot Sat queries — the audit invariant the
-// bench harness asserts. Hits skip the solver entirely, so SATConfl
-// (solver work) and wall-clock drop while the logical call counts
-// stand still.
 package oracle
 
 import (
@@ -41,7 +25,6 @@ import (
 	"time"
 
 	"disjunct/internal/budget"
-	"disjunct/internal/cache"
 	"disjunct/internal/faults"
 	"disjunct/internal/logic"
 	"disjunct/internal/sat"
@@ -49,11 +32,9 @@ import (
 
 // Counters is a snapshot of oracle usage for one inference task.
 type Counters struct {
-	NPCalls     int64 // SAT-oracle invocations (logical count: hits included)
+	NPCalls     int64 // SAT-oracle invocations
 	Sigma2Calls int64 // Σ₂ᵖ-oracle invocations
 	SATConfl    int64 // total SAT conflicts inside NP calls
-	CacheHits   int64 // one-shot Sat queries answered from the verdict cache
-	CacheMisses int64 // one-shot Sat queries that reached the solver (cache enabled)
 }
 
 // Add accumulates other into c.
@@ -61,16 +42,10 @@ func (c *Counters) Add(other Counters) {
 	c.NPCalls += other.NPCalls
 	c.Sigma2Calls += other.Sigma2Calls
 	c.SATConfl += other.SATConfl
-	c.CacheHits += other.CacheHits
-	c.CacheMisses += other.CacheMisses
 }
 
 // String renders the counters compactly.
 func (c Counters) String() string {
-	if c.CacheHits+c.CacheMisses > 0 {
-		return fmt.Sprintf("NP=%d Σ2=%d confl=%d hit=%d miss=%d",
-			c.NPCalls, c.Sigma2Calls, c.SATConfl, c.CacheHits, c.CacheMisses)
-	}
 	return fmt.Sprintf("NP=%d Σ2=%d confl=%d", c.NPCalls, c.Sigma2Calls, c.SATConfl)
 }
 
@@ -88,34 +63,13 @@ type NP struct {
 	npCalls     atomic.Int64
 	sigma2Calls atomic.Int64
 	satConfl    atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
 	noPool      atomic.Bool
-	cache       atomic.Pointer[cache.Cache]
 	bres        atomic.Pointer[budget.B]
 	inj         atomic.Pointer[faults.Injector]
 }
 
 // NewNP returns a fresh NP oracle.
 func NewNP() *NP { return &NP{} }
-
-// WithCache attaches a verdict cache to the oracle's one-shot Sat
-// path and returns the oracle (chainable: oracle.NewNP().WithCache(c)).
-// A nil cache detaches the layer. The cache may be shared between any
-// number of oracles — keys are canonical, so structurally equivalent
-// queries from different semantics (or different databases) reuse each
-// other's verdicts; hit/miss accounting stays per-oracle.
-//
-// Caching is replay-identical (see the package comment): it never
-// changes verdicts, witness models, or logical NP-call totals — only
-// how much solver work backs them.
-func (o *NP) WithCache(c *cache.Cache) *NP {
-	o.cache.Store(c)
-	return o
-}
-
-// Cache returns the attached verdict cache, nil when caching is off.
-func (o *NP) Cache() *cache.Cache { return o.cache.Load() }
 
 // WithBudget attaches a shared query budget and returns the oracle
 // (chainable). Every subsequent oracle call charges the budget: one
@@ -143,7 +97,7 @@ func (o *NP) Budget() *budget.B { return o.bres.Load() }
 // how many injected attempts it takes — so a faulted run that
 // completes is counter-identical to a faultless one. Callers must
 // reach the oracle through a budget-aware API boundary (all semantics
-// packages and budgeted enumerators), which converts injected trips
+// packages and the model iterators), which converts injected trips
 // into typed errors. A nil injector (the default) injects nothing.
 func (o *NP) WithFaults(in *faults.Injector) *NP {
 	o.inj.Store(in)
@@ -168,19 +122,14 @@ func (o *NP) Counters() Counters {
 		NPCalls:     o.npCalls.Load(),
 		Sigma2Calls: o.sigma2Calls.Load(),
 		SATConfl:    o.satConfl.Load(),
-		CacheHits:   o.cacheHits.Load(),
-		CacheMisses: o.cacheMisses.Load(),
 	}
 }
 
-// Reset zeroes the counters (not the attached cache — detach with
-// WithCache(nil) or create a fresh cache to drop memoised verdicts).
+// Reset zeroes the counters.
 func (o *NP) Reset() {
 	o.npCalls.Store(0)
 	o.sigma2Calls.Store(0)
 	o.satConfl.Store(0)
-	o.cacheHits.Store(0)
-	o.cacheMisses.Store(0)
 }
 
 // SetPooling toggles solver reuse for Sat queries (on by default).
@@ -243,81 +192,13 @@ func load(s *sat.Solver, cnf logic.CNF) bool {
 // Sat reports whether the CNF over nVars variables is satisfiable and,
 // if so, returns one model restricted to variables 0..nVars-1. nVars
 // must cover every atom occurring in the CNF (including Tseitin atoms).
-//
-// With a cache attached (WithCache) the query is first interned: an
-// UNSAT verdict memoised for any structurally equivalent CNF, or a SAT
-// witness memoised for this exact query, is returned without touching
-// the solver. Either way the answer is bit-identical to what solving
-// would produce, and NPCalls counts the query exactly once.
 func (o *NP) Sat(nVars int, cnf logic.CNF) (bool, logic.Interp) {
 	o.chargeCall()
 	o.npCalls.Add(1)
-	c := o.cache.Load()
-	if c == nil {
-		return o.solveSat(nVars, cnf)
-	}
-	raw := cache.RawKey(nVars, cnf)
-	if e, ok := c.FastGet(raw); ok {
-		// Byte-identical repeat of a parked first sighting: replay its
-		// verdict (and witness) exactly as the canonical store would.
-		o.cacheHits.Add(1)
-		if !e.Sat {
-			return false, logic.Interp{}
-		}
-		return true, logic.Interp{True: e.Model.Clone()}
-	}
-	fp, lits := cache.Fingerprint(nVars, cnf)
-	seen := c.SeenClass(fp)
-	if !seen && lits <= cache.LazyRetainLimit {
-		// First sighting of a small structural class: skip the expensive
-		// canonical labeling, solve as a miss (exactly what the canonical
-		// path would do on a cold key), and park the verdict for promotion
-		// if the class ever repeats.
-		o.cacheMisses.Add(1)
-		isSat, m := o.solveSat(nVars, cnf)
-		ent := cache.Entry{Sat: isSat, Raw: raw}
-		if isSat {
-			ent.Model = m.True.Clone()
-		}
-		c.PutLazy(fp, raw, nVars, cnf, lits, ent)
-		return isSat, m
-	}
-	if seen {
-		// The class has been sighted before: move any parked records into
-		// the canonical store first, so the lookup below sees exactly the
-		// entries an always-canonical cache would hold.
-		c.Promote(fp)
-	}
-	cn := cache.Canonicalize(nVars, cnf)
-	if e, ok := c.Get(cn.Key); ok {
-		if !e.Sat {
-			// UNSAT is renaming-invariant: any CNF in the key's
-			// isomorphism class is unsatisfiable.
-			o.cacheHits.Add(1)
-			return false, logic.Interp{}
-		}
-		if e.Raw == cn.Raw {
-			// Exact repeat of the producing query: replay the witness
-			// the (deterministic) solver returned for it.
-			o.cacheHits.Add(1)
-			return true, logic.Interp{True: e.Model.Clone()}
-		}
-		// Isomorphic to a known-SAT query but not byte-identical: the
-		// verdict is known, but replaying the witness could hand the
-		// caller a different model than a fresh solve — solve and count
-		// a miss so hits+misses keeps matching solver-equivalent work.
-	}
-	o.cacheMisses.Add(1)
-	isSat, m := o.solveSat(nVars, cnf)
-	ent := cache.Entry{Sat: isSat, Raw: cn.Raw}
-	if isSat {
-		ent.Model = m.True.Clone()
-	}
-	c.Put(cn.Key, ent)
-	return isSat, m
+	return o.solveSat(nVars, cnf)
 }
 
-// solveSat is the uncached one-shot satisfiability path. With a fault
+// solveSat is the one-shot satisfiability path. With a fault
 // injector attached, each solve attempt may draw an injected fault:
 // latency delays the attempt, a transient failure aborts it and is
 // retried with bounded backoff (each retry is the same logical NP
@@ -393,7 +274,6 @@ func (o *NP) solveSat(nVars int, cnf logic.CNF) (bool, logic.Interp) {
 func (o *NP) SatSolver(nVars int, cnf logic.CNF) *sat.Solver {
 	o.chargeCall()
 	o.npCalls.Add(1)
-	o.countBypass()
 	s := sat.New(nVars)
 	s.SetBudget(o.bres.Load())
 	if !load(s, cnf) {
@@ -407,18 +287,6 @@ func (o *NP) SatSolver(nVars int, cnf logic.CNF) *sat.Solver {
 func (o *NP) CountCall() {
 	o.chargeCall()
 	o.npCalls.Add(1)
-	o.countBypass()
-}
-
-// countBypass keeps the audit invariant hits+misses == NPCalls exact
-// on oracles with a cache attached: incremental-solver calls
-// (SatSolver, CountCall) never consult the interner — their clause
-// state is built up across Solve calls — so each is accounted as a
-// miss.
-func (o *NP) countBypass() {
-	if o.cache.Load() != nil {
-		o.cacheMisses.Add(1)
-	}
 }
 
 // CheckSolve inspects the status of a Solve call on an incremental

@@ -1,3 +1,8 @@
+// Package semtest provides the shared verdict-identity harnesses used
+// by the semantics, session and planner tests: CrossCheckSession runs
+// each semantics through a warm session and CrossCheckProcedures
+// through every planner procedure, and both demand verdicts equal to a
+// fresh library run on the same database.
 package semtest
 
 import (

@@ -880,7 +880,6 @@ func (s *Server) health() Health {
 		h.Store = map[string]int64{
 			"artifacts":       st.Artifacts,
 			"verdicts":        st.Verdicts,
-			"interns":         st.Interns,
 			"queued_writes":   st.QueuedWrites,
 			"flushed_writes":  st.FlushedWrites,
 			"flushes":         st.Flushes,

@@ -176,7 +176,7 @@ func TestServeHealthzStoreSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"artifacts", "verdicts", "interns", "queued_writes",
+	for _, key := range []string{"artifacts", "verdicts", "queued_writes",
 		"flushed_writes", "flushes", "compactions", "write_errors", "size_bytes",
 		"torn_tail", "dropped_bytes", "flusher_running", "prewarmed", "prewarmed_arts"} {
 		if _, ok := h.Store[key]; !ok {

@@ -86,7 +86,7 @@ type Compiled struct {
 	// Raw means the indexed CNF is byte-identical, so verdicts and
 	// variable maps transfer between requests verbatim.
 	Raw string
-	// Key is the canonical isomorphism-class key (PR 2 interner); used
+	// Key is the canonical isomorphism-class key (cache.Canonicalize); used
 	// for stats and cross-text dedup reporting, not for verdict reuse.
 	Key cache.Key
 	// HasNeg / HasIC are the applicability features of the database.

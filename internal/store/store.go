@@ -1,8 +1,8 @@
 // Package store is the crash-safe, disk-backed tier beneath the
 // in-memory caches: it persists compiled-database artifacts (the
-// session layer's parse/ground/canonical-key work), the CNF interner's
-// canonical verdict entries, and completed warm-session verdict memos,
-// so a restarted process pre-warms from disk instead of recompiling
+// session layer's parse/ground/canonical-key work), completed
+// warm-session verdict memos and the planner's cost estimates, so a
+// restarted process pre-warms from disk instead of recompiling
 // and re-solving — every deploy becomes an artifact load rather than a
 // cold-start stampede.
 //
@@ -34,13 +34,12 @@
 // # Keys
 //
 // Artifacts are keyed by exact database text; the payload carries the
-// canonical isomorphism-class key (the renaming-invariant fingerprint
-// of PR 2/5) so a reload can skip the expensive canonical labeling.
+// canonical isomorphism-class key (cache.Canonicalize) so a reload
+// can skip the expensive canonical labeling.
 // Verdict memos are keyed by the session key (the exact CNF
 // fingerprint Raw, the semantics name, and the memo key): equal Raw
 // means the indexed CNF is byte-identical, so verdicts transfer
-// between processes verbatim. Interner entries are keyed by the
-// canonical class key, exactly as in the in-memory LRU.
+// between processes verbatim.
 package store
 
 import (
@@ -62,12 +61,16 @@ const (
 
 // Record type tags. New types append; unknown tags invalidate the
 // record (they are indistinguishable from corruption to an old reader,
-// and dropping the tail re-derives at worst).
+// and dropping the tail re-derives at worst). Tag 3 held the entries
+// of a since-removed oracle verdict cache: logs written before its
+// removal may still carry them, so recovery accepts and skips them
+// (rejecting them would truncate every later record as a torn tail),
+// and compaction drops them.
 const (
-	recArtifact byte = 1
-	recVerdict  byte = 2
-	recIntern   byte = 3
-	recEstimate byte = 4
+	recArtifact     byte = 1
+	recVerdict      byte = 2
+	recLegacyIntern byte = 3
+	recEstimate     byte = 4
 )
 
 // Artifact is one persisted compiled-database artifact: the exact
@@ -87,17 +90,6 @@ type Verdict struct {
 	Sem     string // semantics name
 	MemoKey string // kind-qualified query text (the memo map key)
 	Holds   bool
-}
-
-// Intern is one persisted CNF-interner entry: the canonical class key,
-// the SAT verdict, the exact fingerprint of the producing query, and
-// the witness model (nil for UNSAT) encoded as the universe size
-// followed by delta-encoded set-bit indices.
-type Intern struct {
-	Key   string
-	Sat   bool
-	Raw   string
-	Model []byte // nil when no witness; opaque to the store
 }
 
 // Estimate is one persisted cost-model entry of the query planner: the
@@ -127,7 +119,6 @@ type Config struct {
 type Recovery struct {
 	Artifacts int   // artifact records loaded
 	Verdicts  int   // verdict records loaded
-	Interns   int   // interner records loaded
 	Estimates int   // planner cost-estimate records loaded
 	TornTail  bool  // the log ended in an invalid record
 	Dropped   int64 // bytes truncated from the torn tail
@@ -137,7 +128,6 @@ type Recovery struct {
 type Stats struct {
 	Artifacts      int64 // live artifact entries
 	Verdicts       int64 // live verdict entries
-	Interns        int64 // live interner entries
 	Estimates      int64 // live planner cost-estimate entries
 	QueuedWrites   int64 // records enqueued since open
 	FlushedWrites  int64 // records written+synced
@@ -163,8 +153,7 @@ type Store struct {
 	size      int64
 	artifacts map[string]Artifact
 	verdicts  map[string]map[string]bool // raw\x00sem → memoKey → holds
-	interns   map[string]Intern
-	estimates map[string]Estimate // raw\x00sem → latest sums
+	estimates map[string]Estimate        // raw\x00sem → latest sums
 	pending   []pendingRec
 	closed    bool
 
@@ -205,7 +194,6 @@ func Open(cfg Config) (*Store, Recovery, error) {
 		cfg:       cfg,
 		artifacts: map[string]Artifact{},
 		verdicts:  map[string]map[string]bool{},
-		interns:   map[string]Intern{},
 		estimates: map[string]Estimate{},
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
@@ -288,7 +276,6 @@ func (s *Store) recover() error {
 	}
 	s.f, s.size = f, valid
 	s.recovery.Artifacts = len(s.artifacts)
-	s.recovery.Interns = len(s.interns)
 	s.recovery.Estimates = len(s.estimates)
 	for _, m := range s.verdicts {
 		s.recovery.Verdicts += len(m)
@@ -304,7 +291,7 @@ func parseRecord(b []byte) (int, byte, []byte) {
 		return 0, 0, nil
 	}
 	typ := b[0]
-	if typ != recArtifact && typ != recVerdict && typ != recIntern && typ != recEstimate {
+	if typ != recArtifact && typ != recVerdict && typ != recLegacyIntern && typ != recEstimate {
 		return 0, 0, nil
 	}
 	plen, n := binary.Uvarint(b[1:])
@@ -349,15 +336,8 @@ func (s *Store) apply(typ byte, payload []byte) bool {
 			s.verdicts[vk] = m
 		}
 		m[memoKey] = holds == 1
-	case recIntern:
-		key := d.str()
-		sat := d.byte()
-		raw := d.str()
-		model := d.bytes()
-		if d.bad || !d.done() || sat > 1 {
-			return false
-		}
-		s.interns[key] = Intern{Key: key, Sat: sat == 1, Raw: raw, Model: model}
+	case recLegacyIntern:
+		// Skipped: nothing reads these any more (see the tag comment).
 	case recEstimate:
 		raw, sem := d.str(), d.str()
 		count, np, confl, micros := d.u64(), d.u64(), d.u64(), d.u64()
@@ -454,17 +434,6 @@ func (s *Store) Estimates() []Estimate {
 	return out
 }
 
-// Interns snapshots every live interner entry.
-func (s *Store) Interns() []Intern {
-	s.mu.Lock()
-	out := make([]Intern, 0, len(s.interns))
-	for _, e := range s.interns {
-		out = append(out, e)
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // ---- writes (write-behind) ----
 
 // PutArtifact enqueues an artifact; an identical live entry is skipped
@@ -512,27 +481,6 @@ func (s *Store) PutVerdict(v Verdict) {
 	e.str(v.MemoKey)
 	e.bool(v.Holds)
 	s.enqueue(recVerdict, e.b)
-	s.mu.Unlock()
-}
-
-// PutIntern enqueues an interner entry.
-func (s *Store) PutIntern(in Intern) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if cur, ok := s.interns[in.Key]; ok && cur.Sat == in.Sat && cur.Raw == in.Raw {
-		s.mu.Unlock()
-		return
-	}
-	s.interns[in.Key] = in
-	var e encoder
-	e.str(in.Key)
-	e.bool(in.Sat)
-	e.str(in.Raw)
-	e.bytes(in.Model)
-	s.enqueue(recIntern, e.b)
 	s.mu.Unlock()
 }
 
@@ -678,14 +626,6 @@ func (s *Store) maybeCompact() {
 			appendRec(recVerdict, e.b)
 		}
 	}
-	for _, in := range s.interns {
-		var e encoder
-		e.str(in.Key)
-		e.bool(in.Sat)
-		e.str(in.Raw)
-		e.bytes(in.Model)
-		appendRec(recIntern, e.b)
-	}
 	for _, est := range s.estimates {
 		var e encoder
 		e.str(est.Raw)
@@ -793,7 +733,6 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Artifacts:      int64(len(s.artifacts)),
 		Verdicts:       verdicts,
-		Interns:        int64(len(s.interns)),
 		Estimates:      int64(len(s.estimates)),
 		QueuedWrites:   s.queued,
 		FlushedWrites:  s.flushed,
@@ -827,16 +766,6 @@ func (e *encoder) str(s string) {
 	e.b = append(e.b, s...)
 }
 
-func (e *encoder) bytes(b []byte) {
-	if b == nil {
-		e.b = append(e.b, 0)
-		return
-	}
-	e.b = append(e.b, 1)
-	e.b = binary.AppendUvarint(e.b, uint64(len(b)))
-	e.b = append(e.b, b...)
-}
-
 func (e *encoder) byte(v uint8) { e.b = append(e.b, v) }
 
 func (e *encoder) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
@@ -863,31 +792,6 @@ func (d *decoder) str() string {
 	s := string(d.b[w : w+int(n)])
 	d.b = d.b[w+int(n):]
 	return s
-}
-
-func (d *decoder) bytes() []byte {
-	if len(d.b) < 1 {
-		d.bad = true
-		return nil
-	}
-	flag := d.b[0]
-	d.b = d.b[1:]
-	if flag == 0 {
-		return nil
-	}
-	if flag != 1 {
-		d.bad = true
-		return nil
-	}
-	n, w := binary.Uvarint(d.b)
-	if w <= 0 || n > maxValue || uint64(len(d.b)-w) < n {
-		d.bad = true
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[w:w+int(n)])
-	d.b = d.b[w+int(n):]
-	return out
 }
 
 func (d *decoder) u64() uint64 {

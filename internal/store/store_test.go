@@ -1,7 +1,8 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +20,7 @@ func openT(t *testing.T, dir string) (*Store, Recovery) {
 func seedStore(t *testing.T, dir string) {
 	t.Helper()
 	s, rec := openT(t, dir)
-	if rec.TornTail || rec.Artifacts != 0 || rec.Verdicts != 0 || rec.Interns != 0 {
+	if rec.TornTail || rec.Artifacts != 0 || rec.Verdicts != 0 {
 		t.Fatalf("fresh store reported recovery %+v", rec)
 	}
 	s.PutArtifact(Artifact{Text: "a | b.\n", Key: "K1", Frag: 2})
@@ -27,8 +28,6 @@ func seedStore(t *testing.T, dir string) {
 	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|a", Holds: true})
 	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|b", Holds: false})
 	s.PutVerdict(Verdict{Raw: "R2", Sem: "CIRC", MemoKey: "formula|a & b", Holds: true})
-	s.PutIntern(Intern{Key: "CK1", Sat: true, Raw: "RAW1", Model: []byte{3, 1, 0, 2}})
-	s.PutIntern(Intern{Key: "CK2", Sat: false, Raw: "RAW2"})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -53,20 +52,129 @@ func checkSeeded(t *testing.T, s *Store) {
 	if m := s.Verdicts("R1", "CCWA"); m != nil {
 		t.Fatalf("unexpected verdicts for unknown sem: %v", m)
 	}
-	ins := s.Interns()
-	if len(ins) != 2 {
-		t.Fatalf("interns = %v", ins)
+}
+
+// rawRecord frames a payload as one CRC-checked log record.
+func rawRecord(typ byte, payload []byte) []byte {
+	b := []byte{typ}
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// legacyInternRecord hand-encodes a type-3 record exactly as stores
+// that still persisted oracle verdict-cache entries wrote it: the
+// canonical key, the SAT bit, the raw query fingerprint, and an
+// optional witness model (presence byte, then length-prefixed bytes).
+func legacyInternRecord(key string, sat bool, raw string, model []byte) []byte {
+	str := func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 	}
-	byKey := map[string]Intern{}
-	for _, in := range ins {
-		byKey[in.Key] = in
+	p := str(nil, key)
+	if sat {
+		p = append(p, 1)
+	} else {
+		p = append(p, 0)
 	}
-	if in := byKey["CK1"]; !in.Sat || in.Raw != "RAW1" || !bytes.Equal(in.Model, []byte{3, 1, 0, 2}) {
-		t.Fatalf("intern CK1 = %+v", in)
+	p = str(p, raw)
+	if model == nil {
+		p = append(p, 0)
+	} else {
+		p = append(p, 1)
+		p = str(p, string(model))
 	}
-	if in := byKey["CK2"]; in.Sat || in.Raw != "RAW2" || in.Model != nil {
-		t.Fatalf("intern CK2 = %+v", in)
+	return rawRecord(recLegacyIntern, p)
+}
+
+// TestLegacyInternRecordsSkipped: a log written before the verdict
+// cache was removed interleaves type-3 intern records with the live
+// record types. Recovery must skip them without treating them as a
+// torn tail — every later record survives — and compaction must drop
+// them from the rewritten log.
+func TestLegacyInternRecordsSkipped(t *testing.T) {
+	var art, ver, est encoder
+	art.str("a | b.\n")
+	art.str("K1")
+	art.byte(2)
+	ver.str("R1")
+	ver.str("GCWA")
+	ver.str("literal|a")
+	ver.bool(true)
+	est.str("R1")
+	est.str("GCWA")
+	for _, v := range []uint64{3, 12, 40, 900} {
+		est.u64(v)
 	}
+	log := []byte(magic)
+	log = append(log, legacyInternRecord("CK0", false, "RAW0", nil)...)
+	log = append(log, rawRecord(recArtifact, art.b)...)
+	log = append(log, legacyInternRecord("CK1", true, "RAW1", []byte{3, 1, 0, 2})...)
+	log = append(log, rawRecord(recVerdict, ver.b)...)
+	log = append(log, legacyInternRecord("CK2", false, "RAW2", nil)...)
+	log = append(log, rawRecord(recEstimate, est.b)...)
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, logName)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rec, err := Open(Config{Dir: dir, MaxBytes: int64(len(log)) - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.TornTail || rec.Dropped != 0 {
+		t.Fatalf("legacy intern records treated as a torn tail: %+v", rec)
+	}
+	if rec.Artifacts != 1 || rec.Verdicts != 1 || rec.Estimates != 1 {
+		t.Fatalf("recovery counts = %+v, want 1 artifact, 1 verdict, 1 estimate", rec)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		if a, ok := s.Artifact("a | b.\n"); !ok || a.Key != "K1" || a.Frag != 2 {
+			t.Fatalf("artifact = %+v ok=%v", a, ok)
+		}
+		if m := s.Verdicts("R1", "GCWA"); len(m) != 1 || !m["literal|a"] {
+			t.Fatalf("verdicts = %v", m)
+		}
+		want := Estimate{Raw: "R1", Sem: "GCWA", Count: 3, SumNP: 12, SumConfl: 40, SumMicros: 900}
+		if e, ok := s.EstimateFor("R1", "GCWA"); !ok || e != want {
+			t.Fatalf("estimate = %+v ok=%v", e, ok)
+		}
+	}
+	check(s)
+
+	// The log is over its budget, so a flush compacts it.
+	s.Flush()
+	if st := s.Stats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for off := len(magic); off < len(data); records++ {
+		n, typ, _ := parseRecord(data[off:])
+		if n <= 0 {
+			t.Fatalf("compacted log unreadable at offset %d", off)
+		}
+		if typ == recLegacyIntern {
+			t.Fatal("compaction kept a legacy intern record")
+		}
+		off += n
+	}
+	if records != 3 {
+		t.Fatalf("compacted log holds %d records, want 3", records)
+	}
+	s2, rec2 := openT(t, dir)
+	defer s2.Close()
+	if rec2.TornTail {
+		t.Fatalf("compacted log reported torn tail: %+v", rec2)
+	}
+	check(s2)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -77,7 +185,7 @@ func TestRoundTrip(t *testing.T) {
 	if rec.TornTail || rec.Dropped != 0 {
 		t.Fatalf("clean reopen reported torn tail: %+v", rec)
 	}
-	if rec.Artifacts != 2 || rec.Verdicts != 3 || rec.Interns != 2 {
+	if rec.Artifacts != 2 || rec.Verdicts != 3 {
 		t.Fatalf("recovery counts = %+v", rec)
 	}
 	checkSeeded(t, s)
@@ -110,11 +218,10 @@ func TestDedupIdenticalPuts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.PutArtifact(Artifact{Text: "a.", Key: "K"})
 		s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: true})
-		s.PutIntern(Intern{Key: "CK", Sat: true, Raw: "RAW"})
 	}
 	st := s.Stats()
-	if st.QueuedWrites != 3 {
-		t.Fatalf("identical puts queued %d writes, want 3", st.QueuedWrites)
+	if st.QueuedWrites != 2 {
+		t.Fatalf("identical puts queued %d writes, want 2", st.QueuedWrites)
 	}
 }
 
@@ -140,26 +247,21 @@ func TestTruncateEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: Open error: %v", cut, err)
 		}
-		total := rec.Artifacts + rec.Verdicts + rec.Interns
-		if cut < full && !rec.TornTail && total != 7 && cut > len(magic) {
+		total := rec.Artifacts + rec.Verdicts
+		if cut < full && !rec.TornTail && total != 5 && cut > len(magic) {
 			// A cut strictly inside a record must be reported torn
 			// unless it landed exactly on a record boundary.
 			if rec.Dropped != 0 {
 				t.Fatalf("cut=%d: dropped %d but no torn flag", cut, rec.Dropped)
 			}
 		}
-		if cut == full && (rec.TornTail || total != 7) {
+		if cut == full && (rec.TornTail || total != 5) {
 			t.Fatalf("uncut log reported %+v", rec)
 		}
 		// Each loaded artifact must be one we actually wrote.
 		for _, a := range s.Artifacts() {
 			if !(a.Key == "K1" || a.Key == "K2") {
 				t.Fatalf("cut=%d: corrupt artifact served: %+v", cut, a)
-			}
-		}
-		for _, in := range s.Interns() {
-			if !(in.Key == "CK1" || in.Key == "CK2") {
-				t.Fatalf("cut=%d: corrupt intern served: %+v", cut, in)
 			}
 		}
 		if total < prevTotal && cut > 0 {
@@ -221,13 +323,6 @@ func TestCorruptEveryOffset(t *testing.T) {
 				if want, ok := wantVerdicts[raw+"\x00"+sem][k]; !ok || want != v {
 					t.Fatalf("off=%d: corrupt verdict served: %s/%s %q=%v", off, raw, sem, k, v)
 				}
-			}
-		}
-		for _, in := range s.Interns() {
-			okCK1 := in.Key == "CK1" && in.Sat && in.Raw == "RAW1" && bytes.Equal(in.Model, []byte{3, 1, 0, 2})
-			okCK2 := in.Key == "CK2" && !in.Sat && in.Raw == "RAW2" && in.Model == nil
-			if !okCK1 && !okCK2 {
-				t.Fatalf("off=%d: corrupt intern served: %+v", off, in)
 			}
 		}
 		s.Close()
@@ -332,7 +427,7 @@ func TestForeignFileStartsFresh(t *testing.T) {
 	if !rec.TornTail || rec.Dropped == 0 {
 		t.Fatalf("foreign file not reported as dropped: %+v", rec)
 	}
-	if rec.Artifacts+rec.Verdicts+rec.Interns != 0 {
+	if rec.Artifacts+rec.Verdicts != 0 {
 		t.Fatalf("foreign file yielded entries: %+v", rec)
 	}
 	s.PutArtifact(Artifact{Text: "a.", Key: "K"})
