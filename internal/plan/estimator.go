@@ -41,13 +41,24 @@ func (e entry) meanUS() int64 {
 	return e.sumMicros / e.count
 }
 
+// estimatorGen bounds each of the estimator's two generations, so the
+// estimator holds at most 2·estimatorGen keys however many distinct
+// databases it observes.
+const estimatorGen = 8192
+
 // Estimator is the per-(fingerprint, semantics) cost model. A single
-// mutex over the map is enough: observations are a handful of integer
+// mutex over the maps is enough: observations are a handful of integer
 // adds, far cheaper than the NP search they describe.
+//
+// Keys live in two generations. New keys enter cur; when cur is full
+// it becomes old and the previous old generation is dropped. A key hit
+// in old moves back to cur, so a key touched at least once per
+// generation is never dropped. A key is in at most one generation.
 type Estimator struct {
-	mu      sync.Mutex
-	entries map[estKey]*entry
-	st      *store.Store // write-behind target, may be nil
+	mu  sync.Mutex
+	cur map[estKey]*entry
+	old map[estKey]*entry
+	st  *store.Store // write-behind target, may be nil
 
 	observations atomic.Int64
 }
@@ -59,7 +70,30 @@ type estKey struct {
 }
 
 func newEstimator(st *store.Store) *Estimator {
-	return &Estimator{entries: make(map[estKey]*entry), st: st}
+	return &Estimator{cur: make(map[estKey]*entry), old: make(map[estKey]*entry), st: st}
+}
+
+// lookup returns k's entry, promoting it from old to cur; nil when
+// neither generation holds k. Callers hold e.mu.
+func (e *Estimator) lookup(k estKey) *entry {
+	if en := e.cur[k]; en != nil {
+		return en
+	}
+	en := e.old[k]
+	if en != nil {
+		delete(e.old, k)
+		e.insert(k, en)
+	}
+	return en
+}
+
+// insert puts k into cur, rotating the generations first when cur is
+// full. Callers hold e.mu and have checked that no generation holds k.
+func (e *Estimator) insert(k estKey, en *entry) {
+	if len(e.cur) >= estimatorGen {
+		e.old, e.cur = e.cur, make(map[estKey]*entry)
+	}
+	e.cur[k] = en
 }
 
 // observe folds one measured cost into the key's sums and writes the
@@ -67,10 +101,11 @@ func newEstimator(st *store.Store) *Estimator {
 func (e *Estimator) observe(raw, sem string, c Cost) {
 	e.observations.Add(1)
 	e.mu.Lock()
-	en := e.entries[estKey{raw, sem}]
+	k := estKey{raw, sem}
+	en := e.lookup(k)
 	if en == nil {
 		en = &entry{}
-		e.entries[estKey{raw, sem}] = en
+		e.insert(k, en)
 	}
 	en.count++
 	en.sumNP += c.NPCalls
@@ -88,11 +123,11 @@ func (e *Estimator) observe(raw, sem string, c Cost) {
 }
 
 // estimate returns the key's accumulated entry; ok is false when no
-// observation has ever landed (a cold query).
+// observation has ever landed (a cold query) or the key was dropped.
 func (e *Estimator) estimate(raw, sem string) (entry, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en := e.entries[estKey{raw, sem}]
+	en := e.lookup(estKey{raw, sem})
 	if en == nil || en.count == 0 {
 		return entry{}, false
 	}
@@ -117,27 +152,40 @@ func (e *Estimator) merge(list []store.Estimate) int {
 		if s.Count <= 0 {
 			continue
 		}
+		// No promotion here: an import is not a hit, and promoting
+		// could rotate away keys later in the same list.
 		k := estKey{s.Raw, s.Sem}
-		if en := e.entries[k]; en != nil && en.count >= s.Count {
+		en := e.cur[k]
+		if en == nil {
+			en = e.old[k]
+		}
+		if en != nil && en.count >= s.Count {
 			continue
 		}
-		e.entries[k] = &entry{count: s.Count, sumNP: s.SumNP, sumConfl: s.SumConfl, sumMicros: s.SumMicros}
+		if en == nil {
+			en = &entry{}
+			e.insert(k, en)
+		}
+		*en = entry{count: s.Count, sumNP: s.SumNP, sumConfl: s.SumConfl, sumMicros: s.SumMicros}
 		accepted++
 	}
 	return accepted
 }
 
-// export snapshots every entry for handoff/join slices.
+// export snapshots every entry of both generations for handoff/join
+// slices.
 func (e *Estimator) export() []store.Estimate {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]store.Estimate, 0, len(e.entries))
-	for k, en := range e.entries {
-		out = append(out, store.Estimate{
-			Raw: k.raw, Sem: k.sem,
-			Count: en.count, SumNP: en.sumNP,
-			SumConfl: en.sumConfl, SumMicros: en.sumMicros,
-		})
+	out := make([]store.Estimate, 0, len(e.cur)+len(e.old))
+	for _, gen := range [...]map[estKey]*entry{e.old, e.cur} {
+		for k, en := range gen {
+			out = append(out, store.Estimate{
+				Raw: k.raw, Sem: k.sem,
+				Count: en.count, SumNP: en.sumNP,
+				SumConfl: en.sumConfl, SumMicros: en.sumMicros,
+			})
+		}
 	}
 	return out
 }
@@ -145,5 +193,5 @@ func (e *Estimator) export() []store.Estimate {
 func (e *Estimator) len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.entries)
+	return len(e.cur) + len(e.old)
 }

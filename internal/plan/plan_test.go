@@ -284,3 +284,87 @@ func TestEstimatePersistence(t *testing.T) {
 		t.Errorf("self re-import accepted %d entries, want 0", got)
 	}
 }
+
+// TestEstimatorRotationKeepsTouchedKeys pins the two-generation bound:
+// a key touched after a rotation moves back into the current
+// generation and survives the next rotation, an untouched key of the
+// dropped generation is forgotten, and the estimator never holds more
+// than two generations of keys.
+func TestEstimatorRotationKeepsTouchedKeys(t *testing.T) {
+	e := newEstimator(nil)
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := 0; i < estimatorGen+1; i++ { // the last one rotates
+		e.observe(key(i), "DSM", Cost{NPCalls: int64(i)})
+	}
+	if _, ok := e.estimate(key(0), "DSM"); !ok { // hit in old: promoted
+		t.Fatal("key 0 lost by the first rotation")
+	}
+	for i := estimatorGen + 1; i < 2*estimatorGen; i++ { // fills cur, rotates once more
+		e.observe(key(i), "DSM", Cost{NPCalls: int64(i)})
+	}
+	if got, ok := e.estimate(key(0), "DSM"); !ok || got.count != 1 || got.sumNP != 0 {
+		t.Errorf("touched key 0: %+v ok=%v, want its one observation", got, ok)
+	}
+	if _, ok := e.estimate(key(1), "DSM"); ok {
+		t.Error("untouched key 1 survived two rotations")
+	}
+	if n := e.len(); n > 2*estimatorGen {
+		t.Errorf("estimator holds %d keys, bound %d", n, 2*estimatorGen)
+	}
+}
+
+// TestMergeIdempotentAcrossGenerations: re-importing a snapshot whose
+// keys span both generations accepts nothing, and a fresh estimator
+// importing it twice accepts every entry once and ends holding exactly
+// the snapshot.
+func TestMergeIdempotentAcrossGenerations(t *testing.T) {
+	src := newEstimator(nil)
+	for i := 0; i < estimatorGen+50; i++ {
+		src.observe(fmt.Sprintf("k%d", i), "GCWA", Cost{NPCalls: int64(i), Micros: 1})
+	}
+	if len(src.old) == 0 || len(src.cur) == 0 {
+		t.Fatalf("setup: generations hold %d and %d keys, want both non-empty", len(src.old), len(src.cur))
+	}
+	snap := src.export()
+	if got := src.merge(snap); got != 0 {
+		t.Errorf("self re-import accepted %d entries, want 0", got)
+	}
+	dst := newEstimator(nil)
+	if got := dst.merge(snap); got != len(snap) {
+		t.Fatalf("first import accepted %d entries, want %d", got, len(snap))
+	}
+	if got := dst.merge(snap); got != 0 {
+		t.Errorf("re-import accepted %d entries, want 0", got)
+	}
+	// Compare exports: reading through estimate would promote keys
+	// and rotate the generations under the loop.
+	want := map[store.Estimate]bool{}
+	for _, s := range snap {
+		want[s] = true
+	}
+	got := dst.export()
+	for _, s := range got {
+		if !want[s] {
+			t.Fatalf("imported %+v, not in the snapshot", s)
+		}
+	}
+	if len(got) != len(snap) {
+		t.Errorf("import holds %d entries, snapshot %d", len(got), len(snap))
+	}
+}
+
+// TestEstimateEntriesMatchesExport: the /healthz entry count is the
+// number of exported estimates, across rotations, and stays bounded.
+func TestEstimateEntriesMatchesExport(t *testing.T) {
+	p := New(Config{})
+	for i := 0; i < 2*estimatorGen+100; i++ {
+		p.Observe(fmt.Sprintf("db%d", i), "PWS", Cost{NPCalls: 1})
+		if i%4096 != 4095 {
+			continue
+		}
+		entries, exported := p.Stats()["estimate_entries"], len(p.Export())
+		if entries != int64(exported) || entries > 2*estimatorGen {
+			t.Fatalf("after %d keys: estimate_entries %d, len(Export()) %d, bound %d", i+1, entries, exported, 2*estimatorGen)
+		}
+	}
+}

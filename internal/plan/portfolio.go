@@ -25,8 +25,11 @@ type Outcome struct {
 	Counters oracle.Counters
 }
 
-// Arm is one racing procedure. Run must honor ctx cancellation — that
-// is what makes first-completion-wins cancellation settle.
+// Arm is one racing procedure. Race cancels the loser's ctx and then
+// waits for it to return, so an arm that watches ctx (the fresh arm,
+// through the oracle budget) stops early, while one that checks ctx
+// only on entry runs to completion: the brute arm (Brute) cannot be
+// interrupted once it starts, and a race lasts at least as long as it.
 type Arm struct {
 	Name string
 	Run  func(ctx context.Context) Outcome

@@ -305,11 +305,14 @@ func PWS(d *db.DB) []logic.Interp {
 	n := d.N()
 	seen := map[string]bool{}
 	var out []logic.Interp
-	var rec func(i int, chosen []db.Clause)
-	rec = func(i int, chosen []db.Clause) {
+	// split is the current split program: the definite clauses, then
+	// one single-head clause per chosen head atom of each disjunctive
+	// clause decided so far. Each branch appends its choice and the
+	// backtrack truncates it again.
+	split := append([]db.Clause(nil), definite...)
+	var rec func(i int)
+	rec = func(i int) {
 		if i == len(disjunctive) {
-			split := db.NewWithVocab(d.Voc)
-			split.Clauses = append(append([]db.Clause{}, definite...), chosen...)
 			m := leastModel(split, n)
 			for _, c := range integrity {
 				if !c.Sat(m) {
@@ -323,25 +326,28 @@ func PWS(d *db.DB) []logic.Interp {
 			return
 		}
 		c := disjunctive[i]
+		mark := len(split)
 		for mask := 1; mask < 1<<uint(len(c.Head)); mask++ {
-			next := append([]db.Clause{}, chosen...)
 			for b := 0; b < len(c.Head); b++ {
 				if mask&(1<<uint(b)) != 0 {
-					next = append(next, db.Clause{Head: []logic.Atom{c.Head[b]}, PosBody: c.PosBody})
+					split = append(split, db.Clause{Head: c.Head[b : b+1], PosBody: c.PosBody})
 				}
 			}
-			rec(i+1, next)
+			rec(i + 1)
+			split = split[:mark]
 		}
 	}
-	rec(0, nil)
+	rec(0)
 	return out
 }
 
-func leastModel(d *db.DB, n int) logic.Interp {
+// leastModel returns the least model of a definite program over n
+// atoms.
+func leastModel(clauses []db.Clause, n int) logic.Interp {
 	m := logic.NewInterp(n)
 	for changed := true; changed; {
 		changed = false
-		for _, c := range d.Clauses {
+		for _, c := range clauses {
 			if m.Holds(c.Head[0]) {
 				continue
 			}
@@ -364,15 +370,16 @@ func leastModel(d *db.DB, n int) logic.Interp {
 // DSM returns the disjunctive stable models: interpretations M with
 // M ∈ MM(DB^M), checked from the definition.
 func DSM(d *db.DB) []logic.Interp {
+	all := allInterps(d.N())
 	var out []logic.Interp
-	for _, m := range allInterps(d.N()) {
+	for _, m := range all {
 		red := d.Reduct(m)
 		if !red.Sat(m) {
 			continue
 		}
 		stable := true
-		for _, o := range Models(red) {
-			if o.ProperSubsetOf(m) {
+		for _, o := range all {
+			if o.ProperSubsetOf(m) && red.Sat(o) {
 				stable = false
 				break
 			}

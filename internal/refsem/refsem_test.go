@@ -59,8 +59,12 @@ func TestGCWAInsideDDR(t *testing.T) {
 
 func TestPossibleModelsAreModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(234))
-	for i := 0; i < 200; i++ {
-		d := gen.Random(rng, gen.Positive(2+rng.Intn(4), 1+rng.Intn(6)))
+	for i := 0; i < 400; i++ {
+		cfg := gen.Positive(2+rng.Intn(4), 1+rng.Intn(6))
+		if i%2 == 1 {
+			cfg = gen.WithIntegrity(cfg.Atoms, cfg.Clauses)
+		}
+		d := gen.Random(rng, cfg)
 		all := Models(d)
 		keys := map[string]bool{}
 		for _, m := range all {
@@ -76,12 +80,46 @@ func TestPossibleModelsAreModels(t *testing.T) {
 
 func TestMinimalModelsArePossible(t *testing.T) {
 	// Sakama: every minimal model is a possible model (split with the
-	// exact head choices of the minimal model).
+	// exact head choices of the minimal model). With integrity clauses
+	// it still holds: every subset of a model satisfying a denial
+	// satisfies it too, so a minimal model of DB is minimal without
+	// the denials and satisfies them.
 	rng := rand.New(rand.NewSource(235))
-	for i := 0; i < 200; i++ {
-		d := gen.Random(rng, gen.Positive(2+rng.Intn(4), 1+rng.Intn(6)))
+	for i := 0; i < 400; i++ {
+		cfg := gen.Positive(2+rng.Intn(4), 1+rng.Intn(6))
+		if i%2 == 1 {
+			cfg = gen.WithIntegrity(cfg.Atoms, cfg.Clauses)
+		}
+		d := gen.Random(rng, cfg)
 		if !subsetOf(MinimalModels(d), PWS(d)) {
 			t.Fatalf("MM ⊄ PWS\n%s", d.String())
+		}
+	}
+}
+
+// TestDSMFromMinimalModelsOfReduct checks DSM against a second
+// transcription of its definition, M ∈ MM(DB^M), built on
+// MinimalModels: the same models in the same order.
+func TestDSMFromMinimalModelsOfReduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(240))
+	for i := 0; i < 300; i++ {
+		d := gen.Random(rng, gen.Normal(1+rng.Intn(5), 1+rng.Intn(6)))
+		var want []logic.Interp
+		for _, m := range allInterps(d.N()) {
+			for _, o := range MinimalModels(d.Reduct(m)) {
+				if o.Equal(m) {
+					want = append(want, m)
+					break
+				}
+			}
+		}
+		got := DSM(d)
+		same := len(got) == len(want)
+		for j := 0; same && j < len(got); j++ {
+			same = got[j].Equal(want[j])
+		}
+		if !same {
+			t.Fatalf("DSM gave %d models, MM of the reduct %d, or a different order\n%s", len(got), len(want), d.String())
 		}
 	}
 }

@@ -126,6 +126,7 @@ type Solver struct {
 	order     *varHeap
 	phase     []bool // saved phase
 	seen      []bool // scratch for analyze
+	litMark   []bool // scratch for AddClause, indexed by literal; all false between calls
 	claInc    float64
 	maxLearnt float64
 
@@ -143,6 +144,7 @@ type Solver struct {
 	scratch    struct {
 		learnt  []Lit
 		toClear []int
+		clause  []Lit // AddClause's normalised literals before they are stored
 	}
 }
 
@@ -167,6 +169,9 @@ func (s *Solver) grow(n int) {
 	}
 	for len(s.watches) < 2*n {
 		s.watches = append(s.watches, nil)
+	}
+	for len(s.litMark) < 2*n {
+		s.litMark = append(s.litMark, false)
 	}
 	for v := s.nVars; v < n; v++ {
 		s.assign = append(s.assign, lUndef)
@@ -207,6 +212,7 @@ func (s *Solver) Reset(nVars int) {
 	s.activity = s.activity[:0]
 	s.phase = s.phase[:0]
 	s.seen = s.seen[:0]
+	s.litMark = s.litMark[:0]
 	s.trail = s.trail[:0]
 	s.trailLn = s.trailLn[:0]
 	s.qhead = 0
@@ -300,27 +306,32 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.okay {
 		return false
 	}
-	// Normalise: sort out duplicates, tautologies, satisfied/false lits.
-	seen := make(map[Lit]bool, len(lits))
-	cl := make([]Lit, 0, len(lits))
+	// Normalise: drop duplicates and false literals, detect tautologies
+	// and top-level satisfaction. Kept literals are marked in litMark
+	// and collected in first-occurrence order; every return path
+	// unmarks them, so litMark is all false again for the next call.
+	cl := s.scratch.clause[:0]
 	for _, l := range lits {
 		if l.Var() >= s.nVars {
 			s.grow(l.Var() + 1)
 		}
 		switch s.value(l) {
 		case lTrue:
+			s.unmark(cl)
 			return true // clause already satisfied at top level
 		case lFalse:
 			continue // literal can never help
 		}
-		if seen[l.Neg()] {
+		if s.litMark[l.Neg()] {
+			s.unmark(cl)
 			return true // tautology
 		}
-		if !seen[l] {
-			seen[l] = true
+		if !s.litMark[l] {
+			s.litMark[l] = true
 			cl = append(cl, l)
 		}
 	}
+	s.unmark(cl)
 	switch len(cl) {
 	case 0:
 		s.okay = false
@@ -333,10 +344,19 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: cl}
+	c := &clause{lits: append([]Lit(nil), cl...)}
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
+}
+
+// unmark clears AddClause's marks on cl and keeps cl's storage as the
+// scratch buffer for the next call.
+func (s *Solver) unmark(cl []Lit) {
+	for _, l := range cl {
+		s.litMark[l] = false
+	}
+	s.scratch.clause = cl[:0]
 }
 
 func (s *Solver) attach(c *clause) {

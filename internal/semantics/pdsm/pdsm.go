@@ -94,11 +94,18 @@ func headVal3(c db.Clause, p logic.Partial) logic.TruthValue {
 	return v
 }
 
+// sat3 reports whether p 3-valued-satisfies clause c: val(head) ≥
+// val(body), an empty head having value 0.
+func sat3(c db.Clause, p logic.Partial) bool {
+	return headVal3(c, p) >= bodyVal3(c, p)
+}
+
 // Sat3 reports whether p is a 3-valued model of d:
 // val(head) ≥ val(body) for every clause (empty head has value 0).
+// Since DB^p freezes each ¬c at 1 − p(c), this is also p ⊨₃ DB^p.
 func Sat3(d *db.DB, p logic.Partial) bool {
 	for _, c := range d.Clauses {
-		if headVal3(c, p) < bodyVal3(c, p) {
+		if !sat3(c, p) {
 			return false
 		}
 	}
@@ -109,57 +116,65 @@ func Sat3(d *db.DB, p logic.Partial) bool {
 // p ⊨₃ DB^p and no 3-valued model of DB^p lies strictly below p in
 // the truth ordering. The minimality test is one NP-oracle call.
 func (s *Sem) IsPartialStable(d *db.DB, p logic.Partial) bool {
-	if !sat3Reduct(d, p, p) {
-		return false
-	}
-	return !s.hasSmallerReductModel(d, p)
+	return Sat3(d, p) && !newReductCheck(s.opts.Oracle, d).hasSmallerModel(p)
 }
 
-// sat3Reduct reports whether q ⊨₃ DB^p (reduct w.r.t. p, evaluation
-// under q).
-func sat3Reduct(d *db.DB, p, q logic.Partial) bool {
-	for _, c := range d.Clauses {
-		// Body value under q, with negative literals frozen to their
-		// value under p (the reduct's constants).
-		v := logic.True
-		for _, b := range c.PosBody {
-			if w := q.Value(b); w < v {
-				v = w
-			}
-		}
-		for _, cn := range c.NegBody {
-			if w := logic.True - p.Value(cn); w < v {
-				v = w
-			}
-		}
-		if headVal3(c, q) < v {
-			return false
-		}
-	}
-	return true
+// reductCheck asks, for one database and many candidates p, whether
+// some 3-valued model q of DB^p satisfies q ≤ p pointwise and q ≠ p —
+// a single SAT query over the Boolean encoding t_a ("a is true") and
+// u_a ("a is at least undefined"), with t_a = atom a and u_a = atom
+// n+a. The literal buffer and the CNF are reused across candidates,
+// which is safe because the oracle copies the clauses into its solver;
+// both are sized for the largest query up front, so building a query
+// allocates nothing.
+type reductCheck struct {
+	o    *oracle.NP
+	d    *db.DB
+	lits []logic.Lit
+	cnf  logic.CNF
 }
 
-// hasSmallerReductModel reports whether some 3-valued model q of DB^p
-// satisfies q ≤ p pointwise and q ≠ p — a single SAT query over the
-// Boolean encoding t_a ("a is true"), u_a ("a is at least undefined").
-func (s *Sem) hasSmallerReductModel(d *db.DB, p logic.Partial) bool {
+func newReductCheck(o *oracle.NP, d *db.DB) *reductCheck {
 	n := d.N()
-	voc := logic.NewVocabulary()
-	t := make([]logic.Atom, n)
-	u := make([]logic.Atom, n)
-	for v := 0; v < n; v++ {
-		t[v] = voc.Intern("t$" + d.Voc.Name(logic.Atom(v)))
+	// Coherence 2n literals, unit bounds plus diff at most 2n.
+	nLits := 4 * n
+	for _, c := range d.Clauses {
+		nLits += 2 * (len(c.PosBody) + len(c.Head))
 	}
-	for v := 0; v < n; v++ {
-		u[v] = voc.Intern("u$" + d.Voc.Name(logic.Atom(v)))
+	return &reductCheck{
+		o:    o,
+		d:    d,
+		lits: make([]logic.Lit, 0, nLits),
+		cnf:  make(logic.CNF, 0, 2*n+2*len(d.Clauses)+1),
 	}
-	var cnf logic.CNF
+}
+
+// endClause closes the clause made of the literals appended since
+// start and returns the start of the next one.
+func (r *reductCheck) endClause(start int) int {
+	end := len(r.lits)
+	r.cnf = append(r.cnf, logic.Clause(r.lits[start:end:end]))
+	return end
+}
+
+// hasSmallerModel builds the query for p — coherence clauses, the
+// level-½ and level-1 clause of each database clause, the unit bounds
+// q ≤ p, then the clause q ≠ p — and runs it as one NP call. The
+// all-false p has nothing below it and costs no call.
+func (r *reductCheck) hasSmallerModel(p logic.Partial) bool {
+	n := r.d.N()
+	t := func(a logic.Atom) logic.Atom { return a }
+	u := func(a logic.Atom) logic.Atom { return logic.Atom(n) + a }
+	r.lits, r.cnf = r.lits[:0], r.cnf[:0]
+	start := 0
 	// Coherence: t_a → u_a.
 	for v := 0; v < n; v++ {
-		cnf = append(cnf, logic.Clause{logic.NegLit(t[v]), logic.PosLit(u[v])})
+		a := logic.Atom(v)
+		r.lits = append(r.lits, logic.NegLit(t(a)), logic.PosLit(u(a)))
+		start = r.endClause(start)
 	}
 	// Reduct clauses at both levels.
-	for _, c := range d.Clauses {
+	for _, c := range r.d.Clauses {
 		cmin := logic.True
 		for _, cn := range c.NegBody {
 			if w := logic.True - p.Value(cn); w < cmin {
@@ -168,61 +183,102 @@ func (s *Sem) hasSmallerReductModel(d *db.DB, p logic.Partial) bool {
 		}
 		// Level ½: if all constants ≥ ½ then (∧ u_b) → (∨ u_h).
 		if cmin >= logic.Undefined {
-			cl := make(logic.Clause, 0, len(c.PosBody)+len(c.Head))
 			for _, b := range c.PosBody {
-				cl = append(cl, logic.NegLit(u[b]))
+				r.lits = append(r.lits, logic.NegLit(u(b)))
 			}
 			for _, h := range c.Head {
-				cl = append(cl, logic.PosLit(u[h]))
+				r.lits = append(r.lits, logic.PosLit(u(h)))
 			}
-			cnf = append(cnf, cl)
+			start = r.endClause(start)
 		}
 		// Level 1: if all constants are 1 then (∧ t_b) → (∨ t_h).
 		if cmin == logic.True {
-			cl := make(logic.Clause, 0, len(c.PosBody)+len(c.Head))
 			for _, b := range c.PosBody {
-				cl = append(cl, logic.NegLit(t[b]))
+				r.lits = append(r.lits, logic.NegLit(t(b)))
 			}
 			for _, h := range c.Head {
-				cl = append(cl, logic.PosLit(t[h]))
+				r.lits = append(r.lits, logic.PosLit(t(h)))
 			}
-			cnf = append(cnf, cl)
+			start = r.endClause(start)
 		}
 	}
-	// q ≤ p pointwise, and q ≠ p.
-	var diff logic.Clause
+	// q ≤ p pointwise.
 	for v := 0; v < n; v++ {
-		switch p.Value(logic.Atom(v)) {
+		a := logic.Atom(v)
+		switch p.Value(a) {
 		case logic.False:
-			cnf = append(cnf, logic.Clause{logic.NegLit(u[v])})
+			r.lits = append(r.lits, logic.NegLit(u(a)))
+			start = r.endClause(start)
 		case logic.Undefined:
-			cnf = append(cnf, logic.Clause{logic.NegLit(t[v])})
-			diff = append(diff, logic.NegLit(u[v])) // drop to false
-		case logic.True:
-			diff = append(diff, logic.NegLit(t[v])) // drop below true
+			r.lits = append(r.lits, logic.NegLit(t(a)))
+			start = r.endClause(start)
 		}
 	}
-	if len(diff) == 0 {
+	// q ≠ p: some undefined atom drops to false or some true atom
+	// drops below true.
+	for v := 0; v < n; v++ {
+		a := logic.Atom(v)
+		switch p.Value(a) {
+		case logic.Undefined:
+			r.lits = append(r.lits, logic.NegLit(u(a)))
+		case logic.True:
+			r.lits = append(r.lits, logic.NegLit(t(a)))
+		}
+	}
+	if len(r.lits) == start {
 		return false // p is the all-false interpretation: nothing below
 	}
-	cnf = append(cnf, diff)
-	sat, _ := s.opts.Oracle.Sat(voc.Size(), cnf)
+	r.endClause(start)
+	sat, _ := r.o.Sat(2*n, r.cnf)
 	return sat
 }
 
+// truthOrder is the order in which the 3ⁿ walk tries each atom's value.
+var truthOrder = [...]logic.TruthValue{logic.False, logic.Undefined, logic.True}
+
 // PartialModels enumerates the partial stable models of d over the 3ⁿ
 // candidate space. limit ≤ 0 means unlimited. Returns the count.
+//
+// The walk assigns atoms in index order. Each clause is tested against
+// p ⊨₃ DB^p as soon as its highest atom is assigned, and a value that
+// violates one is skipped with its whole subtree, so only candidates
+// with p ⊨₃ DB^p reach the oracle — the same ones, in the same order,
+// as an unpruned walk filtering at the leaves.
 func (s *Sem) PartialModels(d *db.DB, limit int, yield func(logic.Partial) bool) (count int, err error) {
 	defer budget.Recover(&err)
 	n := d.N()
 	if n > 18 {
 		return 0, core.ErrUnsupported // 3^n candidate space
 	}
+	// closing[v+1] holds the clauses whose highest atom is v;
+	// closing[0] the clauses without atoms.
+	closing := make([][]db.Clause, n+1)
+	for _, c := range d.Clauses {
+		top := -1
+		for _, as := range [...][]logic.Atom{c.Head, c.PosBody, c.NegBody} {
+			for _, a := range as {
+				top = max(top, int(a))
+			}
+		}
+		closing[top+1] = append(closing[top+1], c)
+	}
 	p := logic.NewPartial(n)
+	holds := func(cs []db.Clause) bool {
+		for _, c := range cs {
+			if !sat3(c, p) {
+				return false
+			}
+		}
+		return true
+	}
+	if !holds(closing[0]) {
+		return 0, nil
+	}
+	r := newReductCheck(s.opts.Oracle, d)
 	var rec func(v int) bool
 	rec = func(v int) bool {
 		if v == n {
-			if !s.IsPartialStable(d, p) {
+			if r.hasSmallerModel(p) {
 				return true
 			}
 			count++
@@ -231,9 +287,9 @@ func (s *Sem) PartialModels(d *db.DB, limit int, yield func(logic.Partial) bool)
 			}
 			return limit <= 0 || count < limit
 		}
-		for _, tv := range []logic.TruthValue{logic.False, logic.Undefined, logic.True} {
+		for _, tv := range truthOrder {
 			p.SetValue(logic.Atom(v), tv)
-			if !rec(v + 1) {
+			if holds(closing[v+1]) && !rec(v+1) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package pdsm
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"disjunct/internal/core"
@@ -193,6 +194,90 @@ func TestHasModelMatchesReference(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("iter %d: HasModel=%v want %v\nDB:\n%s", iter, got, want, d.String())
+		}
+	}
+}
+
+// randomClassDB draws a database from one of the five shape classes
+// the cold request mix uses: positive, with integrity clauses, normal
+// without integrity clauses, normal, and stratified.
+func randomClassDB(rng *rand.Rand, atoms, clauses int) *db.DB {
+	switch rng.Intn(5) {
+	case 0:
+		return gen.Random(rng, gen.Positive(atoms, clauses))
+	case 1:
+		return gen.Random(rng, gen.WithIntegrity(atoms, clauses))
+	case 2:
+		return gen.Random(rng, gen.NormalNoIC(atoms, clauses))
+	case 3:
+		return gen.Random(rng, gen.Normal(atoms, clauses))
+	default:
+		return gen.RandomStratified(rng, atoms, clauses, 2+rng.Intn(2))
+	}
+}
+
+// walkRank orders partial interpretations the way PartialModels walks
+// them: atom 0 most significant, False < Undefined < True.
+func walkRank(p logic.Partial) int {
+	r := 0
+	for v := 0; v < p.N(); v++ {
+		r = 3*r + int(p.Value(logic.Atom(v)))
+	}
+	return r
+}
+
+// TestPartialModelsExactAndNPCalls pins the pruned 3ⁿ walk: unlimited
+// PartialModels yields exactly refsem.PDSM in walk order, and spends
+// one NP call per candidate p with p ⊨₃ DB^p other than the all-false
+// one — pruning never drops an oracle candidate and never adds one.
+func TestPartialModelsExactAndNPCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(105))
+	for iter := 0; iter < 150; iter++ {
+		d := randomClassDB(rng, 1+rng.Intn(6), 1+rng.Intn(6))
+		want := refsem.PDSM(d)
+		sort.SliceStable(want, func(i, j int) bool { return walkRank(want[i]) < walkRank(want[j]) })
+		s := New(core.Options{})
+		got := collectPartials(t, s, d)
+		same := len(got) == len(want)
+		for i := 0; same && i < len(got); i++ {
+			same = got[i].Equal(want[i])
+		}
+		if !same {
+			t.Fatalf("iter %d: PartialModels yielded %d models, refsem.PDSM %d, or a different order\nDB:\n%s",
+				iter, len(got), len(want), d.String())
+		}
+		all, err := refsem.AllPartials(d.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var candidates int64
+		for _, p := range all {
+			if Sat3(d, p) && !p.Equal(logic.NewPartial(d.N())) {
+				candidates++
+			}
+		}
+		if np := s.Oracle().Counters().NPCalls; np != candidates {
+			t.Fatalf("iter %d: %d NP calls, want %d (one per candidate with p ⊨₃ DB^p, p ≠ all-false)\nDB:\n%s",
+				iter, np, candidates, d.String())
+		}
+	}
+}
+
+// BenchmarkPartialModelsCold enumerates the partial stable models of
+// databases shaped like cold requests — 5–9 atoms, 3–6 clauses, all
+// five classes — each on a fresh semantics instance.
+func BenchmarkPartialModelsCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(106))
+	dbs := make([]*db.DB, 64)
+	for i := range dbs {
+		dbs[i] = randomClassDB(rng, 5+rng.Intn(5), 3+rng.Intn(4))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(core.Options{})
+		if _, err := s.PartialModels(dbs[i%len(dbs)], 0, func(logic.Partial) bool { return true }); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
