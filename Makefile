@@ -42,10 +42,12 @@ soak:
 	$(GO) run ./cmd/ddbsoak -iters 2000 -v
 
 # Bounded chaos soak: budgets + deadline + seeded fault injection,
-# plus a membership-churn sweep (seeded joins/drains/kills mid-load).
+# planner-routed verdicts cross-checked against the brute-force
+# references, plus a membership-churn sweep (seeded joins/drains/kills
+# mid-load).
 # Fails on silent corruption, untyped interruptions, or goroutine leaks.
 chaos:
-	$(GO) run ./cmd/ddbsoak -iters 1000 -faultrate 0.05 -deadline 2s -conflictbudget 200 -servefrac 0.3 -sessionfrac 0.3 -churnfrac 0.02 -v
+	$(GO) run ./cmd/ddbsoak -iters 1000 -faultrate 0.05 -deadline 2s -conflictbudget 200 -servefrac 0.3 -sessionfrac 0.3 -planfrac 0.3 -churnfrac 0.02 -v
 
 # End-to-end service smoke: real binaries, offered load above the
 # admission limit, 5% injected faults, SIGTERM drain. Fails on untyped

@@ -213,16 +213,16 @@ func runPlannerAB(sweep string, requests int, seed int64, verify bool, satRate, 
 		SatRate:     satRate,
 	})
 	fmt.Printf("planner A/B (saturation = %.1f req/s)\n", sat)
-	fmt.Printf("%6s %8s %10s %11s %9s %10s %8s %8s %10s\n",
-		"mult", "rate", "fifo_done", "aware_done", "speedup", "shed_cost", "untyped", "divergent", "portfolio")
+	fmt.Printf("%6s %8s %10s %11s %9s %10s %8s %8s\n",
+		"mult", "rate", "fifo_done", "aware_done", "speedup", "shed_cost", "untyped", "divergent")
 	fail := false
 	var gateRow *serve.PlannerABRow
 	for i := range rows {
 		r := &rows[i]
-		fmt.Printf("%6.1f %8.1f %10d %11d %9.2f %10d %8d %8d %10d\n",
+		fmt.Printf("%6.1f %8.1f %10d %11d %9.2f %10d %8d %8d\n",
 			r.Multiplier, r.Rate, r.FIFO.Completed, r.CostAware.Completed, r.Speedup(),
 			r.Planner["shed_cost"], r.FIFO.Untyped+r.CostAware.Untyped,
-			r.FIFO.Divergent+r.CostAware.Divergent, r.Planner["portfolio_races"])
+			r.FIFO.Divergent+r.CostAware.Divergent)
 		if !r.FIFO.Clean() || !r.CostAware.Clean() {
 			fail = true
 			diagnose(r.FIFO)

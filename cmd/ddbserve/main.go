@@ -53,7 +53,7 @@ func main() {
 		streamMax     = flag.Int("streammax", 0, "server-side cap on models per /v1/models/stream request (0 = uncapped)")
 		storeDir      = flag.String("store", "", "persistent compiled-artifact & verdict store directory (implies -sessions; empty = no persistence)")
 		storeBytes    = flag.Int64("storebytes", 0, "store log-size budget before compaction (0 = default 256 MiB)")
-		planner       = flag.Bool("planner", false, "enable the cost-based query planner: cost-class routing, brute/portfolio procedures, cost-aware shedding (implies -sessions)")
+		planner       = flag.Bool("planner", false, "enable the cost-based query planner: cost-class routing to one of four procedures (fast, warm, brute, fresh), cost-aware shedding (implies -sessions)")
 		planBrute     = flag.Int("planbruteatoms", 0, "planner: max atoms for the brute-force refsem procedure (0 = default 8)")
 		planNP        = flag.Int64("planexpnp", 0, "planner: mean NP-call estimate marking a query expensive (0 = default 8)")
 		planOcc       = flag.Float64("planshedocc", 0, "planner: queue occupancy fraction above which cost-aware shedding engages (0 = default 0.5)")

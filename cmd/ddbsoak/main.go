@@ -31,12 +31,11 @@
 // A random subset of iterations (-planfrac) is additionally replayed
 // through an in-process server with the cost-based planner enabled, so
 // the planner's routing (fast path, warm session, fresh enumeration,
-// brute refsem, brute-vs-fresh portfolio race) carries real traffic:
-// every completed verdict is cross-checked against the brute-force
-// references, interruptions must carry typed causes, and after the
-// soak the /healthz planner section must be populated — decisions,
-// cost observations, served estimates, and the portfolio winner
-// histogram — proving the planner actually planned rather than
+// brute refsem) carries real traffic: every completed verdict is
+// cross-checked against the brute-force references, interruptions must
+// carry typed causes, and after the soak the /healthz planner section
+// must be populated — decisions, cost observations and served
+// estimates — proving the planner actually planned rather than
 // pass-through routing everything fresh.
 //
 // Setting -churnfrac runs a membership-churn sweep after the soak: a
@@ -65,7 +64,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"disjunct/internal/budget"
@@ -95,7 +93,7 @@ func main() {
 	serveFrac := flag.Float64("servefrac", 0, "fraction of iterations replayed through an in-process HTTP server (0 = off)")
 	batchFrac := flag.Float64("batchfrac", 0, "fraction of iterations additionally replayed through /v1/batch (0 = off; implies -servefrac machinery)")
 	sessionFrac := flag.Float64("sessionfrac", 0, "fraction of iterations replayed through a shared warm session manager (0 = off)")
-	planFrac := flag.Float64("planfrac", 0, "fraction of iterations replayed through an in-process server with the cost-based planner enabled, cross-checking planner-routed verdicts (fast/warm/fresh/brute/portfolio) against the brute-force references and asserting the /healthz planner section is populated (0 = off)")
+	planFrac := flag.Float64("planfrac", 0, "fraction of iterations replayed through an in-process server with the cost-based planner enabled, cross-checking planner-routed verdicts (fast/warm/fresh/brute) against the brute-force references and asserting the /healthz planner section is populated (0 = off)")
 	storeDir := flag.String("storedir", "", "back the session manager with a persistent store at this directory and, after the soak, reopen it in a pre-warmed second manager that must replay every recorded verdict identically with zero cold compiles (enables the session checker if -sessionfrac is 0)")
 	clusterNodes := flag.Int("clusternodes", 0, "after the soak, run a verified load through an in-process N-worker cluster with seeded node chaos (kill/partition/slow of a seeded victim mid-load) and a graceful drain handoff; any divergent or untyped outcome fails the run (0 = off)")
 	clusterReqs := flag.Int("clusterreqs", 240, "requests per cluster sweep phase (with -clusternodes)")
@@ -561,21 +559,18 @@ func (sc *serveChecker) checkBatch(d *db.DB, rng *rand.Rand) bool {
 // plannerChecker replays a subset of iterations through an in-process
 // server with the cost-based planner enabled, shared across all
 // iterations so the estimator warms up: first sight of a (database,
-// semantics) key routes cold (portfolio for the tiny Σ₂ᵖ cases, warm
-// or fast otherwise), the repeat is served from a calibrated estimate.
+// semantics) key routes cold (fresh for the tiny Σ₂ᵖ cases, warm or
+// fast otherwise), the repeat is served from a calibrated estimate.
 // Every completed verdict — whatever procedure the planner picked —
 // must match the brute-force references, and interruptions must carry
 // typed causes. close() asserts the /healthz planner section is
-// populated: decisions, observations, served estimates, and at least
-// one portfolio race when any query straddled the brute/fresh
-// boundary.
+// populated: decisions, observations and served estimates.
 type plannerChecker struct {
 	srv         *serve.Server
 	hs          *httptest.Server
 	queries     int
 	completed   int
 	interrupted int
-	portfolios  int // completed responses served via a portfolio race
 	brutes      int // completed responses served via the brute procedure
 }
 
@@ -603,7 +598,7 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 		{"EGCWA", refsem.EGCWA, false, false},
 		{"DDR", refsem.DDR, true, false}, // NP-class, brute-eligible
 		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, portfolio route
+		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, fresh or brute route
 		{"PERF", refsem.PERF, false, true},
 	}
 	for _, c := range cases {
@@ -614,8 +609,8 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 			continue
 		}
 		want := refsem.Entails(c.ref(rt), logic.LitF(lit))
-		// Twice per case: the first request may route cold (portfolio),
-		// the second must see the estimate the first one calibrated.
+		// Twice per case: the first request may route cold (fresh), the
+		// second must see the estimate the first one calibrated.
 		for rep := 0; rep < 2; rep++ {
 			px.queries++
 			body, _ := json.Marshal(serve.QueryRequest{Semantics: c.sem, DB: rt.String(), Literal: litText})
@@ -648,10 +643,7 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 				continue
 			}
 			px.completed++
-			switch {
-			case strings.HasPrefix(qr.Path, "portfolio:"):
-				px.portfolios++
-			case qr.Path == "brute":
+			if qr.Path == "brute" {
 				px.brutes++
 			}
 			if qr.Holds != want {
@@ -666,8 +658,7 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 
 // close drains the planner server and asserts its /healthz planner
 // section is populated — the planner must have decided, observed, and
-// served estimates, and raced at least one portfolio whenever a
-// completed response reported a portfolio path.
+// served estimates — and that every brute answer had a brute decision.
 func (px *plannerChecker) close() bool {
 	ok := true
 	ps := map[string]int64{}
@@ -699,21 +690,18 @@ func (px *plannerChecker) close() bool {
 			fmt.Println("  planner: no estimate ever served despite repeated keys")
 			ok = false
 		}
-		if px.portfolios > 0 && ps["portfolio_races"] == 0 {
-			fmt.Println("  planner: portfolio paths served but zero races recorded")
-			ok = false
-		}
-		if ps["portfolio_races"] != ps["portfolio_win_brute"]+ps["portfolio_win_fresh"] {
-			fmt.Printf("  planner: winner histogram %d+%d does not sum to races %d\n",
-				ps["portfolio_win_brute"], ps["portfolio_win_fresh"], ps["portfolio_races"])
+		// Every brute answer was routed brute by a decision; a brute
+		// path with no matching decision means execution bypassed the
+		// planner.
+		if int64(px.brutes) > ps["routed_brute"] {
+			fmt.Printf("  planner: %d brute answers but only %d brute decisions\n", px.brutes, ps["routed_brute"])
 			ok = false
 		}
 	}
-	fmt.Printf("planner cross-check: %d queries, completed=%d interrupted=%d portfolio=%d brute=%d "+
-		"(healthz: decisions=%d est_served=%d observations=%d races=%d wins brute/fresh=%d/%d shed_cost=%d)\n",
-		px.queries, px.completed, px.interrupted, px.portfolios, px.brutes,
-		ps["decisions"], ps["estimates_served"], ps["observations"],
-		ps["portfolio_races"], ps["portfolio_win_brute"], ps["portfolio_win_fresh"], ps["shed_cost"])
+	fmt.Printf("planner cross-check: %d queries, completed=%d interrupted=%d brute=%d "+
+		"(healthz: decisions=%d est_served=%d observations=%d routed_brute=%d shed_cost=%d)\n",
+		px.queries, px.completed, px.interrupted, px.brutes,
+		ps["decisions"], ps["estimates_served"], ps["observations"], ps["routed_brute"], ps["shed_cost"])
 	return ok
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"disjunct/internal/budget"
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/gen"
@@ -23,12 +22,9 @@ import (
 // a fresh engine; the planner-on leg routes each query through the
 // serve layer's procedure ladder — warm session (fast paths and warm
 // engines), brute refsem for tiny instances the cost model has read as
-// expensive, a brute-vs-fresh portfolio race for cold boundary keys,
-// and the fresh path otherwise. runPlannerSweep asserts that routing
-// never moves a verdict, that fast-path and brute answers consume zero
-// oracle calls, that a portfolio race's total (both arms, including
-// the canceled loser's partial) never exceeds the worst single
-// procedure — the fresh-alone cost of the same queries. The planner-on
+// expensive, and the fresh path otherwise, cold keys included.
+// runPlannerSweep asserts that routing never moves a verdict and that
+// fast-path and brute answers consume zero oracle calls. The planner-on
 // total is reported but not bounded: a cold warm-engine pass may
 // legitimately spend a few more oracle calls than fresh engines before
 // memoization pays it back. Wall-clock is reported, never gated; the
@@ -42,21 +38,14 @@ type PlannerCase struct {
 
 	// Actual executed routes (from each answer's path, not the
 	// decision): fast + warm are session-handled, the rest planner-routed.
-	Fast      int `json:"fast_queries"`
-	Warm      int `json:"warm_queries"`
-	Fresh     int `json:"fresh_queries"`
-	Brute     int `json:"brute_queries"`
-	Portfolio int `json:"portfolio_queries"`
+	Fast  int `json:"fast_queries"`
+	Warm  int `json:"warm_queries"`
+	Fresh int `json:"fresh_queries"`
+	Brute int `json:"brute_queries"`
 
 	OffNP  int64 `json:"planner_off_np_calls"` // pinned by benchgate
 	OnNP   int64 `json:"planner_on_np_calls"`  // reported, not gated
 	FastNP int64 `json:"fast_np_calls"`        // bounded: zero
-
-	// PortfolioNP sums the races' totals (both arms); PortfolioWorstNP
-	// is the fresh-alone cost of the same queries — the worst single
-	// procedure the race replaces.
-	PortfolioNP      int64 `json:"portfolio_np_calls"`
-	PortfolioWorstNP int64 `json:"portfolio_worst_np_calls"`
 
 	Divergent int `json:"divergent"` // bounded: zero (also a hard sweep failure)
 
@@ -87,10 +76,9 @@ func plannerQueries(d *db.DB) []plannerQuery {
 // plannerDBs builds the seeded instance families: a definite program
 // (fast path), a general positive database too large for brute
 // construction (warm sessions), and a tiny general positive database
-// inside the brute cap (portfolio races cold, estimate-driven routing
-// warm, brute once the cost model reads the key as expensive; CWA on
-// the same instance pins the NP-class fresh route the planner must
-// leave alone).
+// inside the brute cap (fresh while cold or cheap, brute once the cost
+// model reads the key as expensive; CWA on the same instance pins the
+// NP-class fresh route the planner must leave alone).
 func plannerDBs(scale Scale) []struct {
 	name string
 	db   *db.DB
@@ -147,11 +135,9 @@ func plannerDBs(scale Scale) []struct {
 }
 
 // plannerFresh answers one query with a fresh engine and oracle — the
-// planner-off procedure and the portfolio's fresh arm. The unlimited
-// budget exists only to observe ctx: a race loser is canceled
-// mid-search, exactly as the serve layer cancels it.
-func plannerFresh(ctx context.Context, d *db.DB, semName string, q plannerQuery) (bool, oracle.Counters, error) {
-	o := oracle.NewNP().WithBudget(budget.New(ctx, budget.Limits{}))
+// planner-off procedure and the planner's fresh route.
+func plannerFresh(d *db.DB, semName string, q plannerQuery) (bool, oracle.Counters, error) {
+	o := oracle.NewNP()
 	s, ok := core.New(semName, core.Options{Oracle: o})
 	if !ok {
 		return false, oracle.Counters{}, fmt.Errorf("semantics %q not registered", semName)
@@ -192,40 +178,14 @@ func plannerRoute(ctx context.Context, planner *plan.Planner, mgr *session.Manag
 		return res.Holds, res.Counters.NPCalls, res.Path, nil
 	}
 
-	switch dec.Proc {
-	case plan.ProcBrute:
+	if dec.Proc == plan.ProcBrute {
 		if h, ok := plan.Brute(ctx, comp, semName, q.kind, q.lit, nil, planner.BruteMaxAtoms()); ok {
 			observe(oracle.Counters{})
 			return h, 0, "brute", nil
 		}
-	case plan.ProcPortfolio:
-		if plan.BruteEligible(comp, semName, planner.BruteMaxAtoms()) {
-			bruteArm := plan.Arm{Name: "brute", Run: func(actx context.Context) plan.Outcome {
-				h, ok := plan.Brute(actx, comp, semName, q.kind, q.lit, nil, planner.BruteMaxAtoms())
-				if !ok {
-					e := actx.Err()
-					if e == nil {
-						e = context.Canceled
-					}
-					return plan.Outcome{Err: e}
-				}
-				return plan.Outcome{Holds: h}
-			}}
-			freshArm := plan.Arm{Name: "fresh", Run: func(actx context.Context) plan.Outcome {
-				h, c, e := plannerFresh(actx, d, semName, q)
-				return plan.Outcome{Holds: h, Err: e, Counters: c}
-			}}
-			res := plan.Race(ctx, bruteArm, freshArm)
-			planner.CountRace(res.Winner)
-			if res.Out.Err != nil {
-				return false, 0, "", fmt.Errorf("portfolio %s: %v", q.text, res.Out.Err)
-			}
-			observe(res.Total)
-			return res.Out.Holds, res.Total.NPCalls, "portfolio:" + res.Winner, nil
-		}
 	}
 
-	h, c, ferr := plannerFresh(ctx, d, semName, q)
+	h, c, ferr := plannerFresh(d, semName, q)
 	if ferr != nil {
 		return false, 0, "", ferr
 	}
@@ -256,17 +216,16 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 	// Planner-off leg: a fresh engine per query, every round. The
 	// per-query verdicts and NP counts double as the on-leg reference.
 	want := make([]bool, len(qs))
-	freshNP := make([]int64, len(qs))
 	offStart := time.Now()
 	for round := 0; round < rounds; round++ {
 		for i, q := range qs {
-			h, c, err := plannerFresh(ctx, d, semName, q)
+			h, c, err := plannerFresh(d, semName, q)
 			if err != nil {
 				return pc, fmt.Errorf("planner %s/%s: fresh %q: %v", name, semName, q.text, err)
 			}
 			pc.OffNP += c.NPCalls
 			if round == 0 {
-				want[i], freshNP[i] = h, c.NPCalls
+				want[i] = h
 			} else if h != want[i] {
 				return pc, fmt.Errorf("planner %s/%s: fresh leg is non-deterministic on %q", name, semName, q.text)
 			}
@@ -302,10 +261,6 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 				if np != 0 {
 					return pc, fmt.Errorf("planner %s/%s: brute answer for %q consumed %d NP calls, want 0", name, semName, q.text, np)
 				}
-			case strings.HasPrefix(path, "portfolio:"):
-				pc.Portfolio++
-				pc.PortfolioNP += np
-				pc.PortfolioWorstNP += freshNP[i]
 			case path == "":
 				pc.Fresh++
 			default:
@@ -327,10 +282,6 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 	if pc.FastNP != 0 {
 		return pc, fmt.Errorf("planner %s/%s: fast path consumed %d NP calls, want 0", name, semName, pc.FastNP)
 	}
-	if pc.PortfolioNP > pc.PortfolioWorstNP {
-		return pc, fmt.Errorf("planner %s/%s: portfolio total %d exceeds the worst single procedure %d",
-			name, semName, pc.PortfolioNP, pc.PortfolioWorstNP)
-	}
 	if pc.OnMS > 0 {
 		pc.Speedup = pc.OffMS / pc.OnMS
 	}
@@ -338,14 +289,14 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 }
 
 // runPlannerSweep is the cost-based-routing section of RunParallel:
-// the planner-off vs planner-on comparison with the verdict-identity,
-// zero-NP, and portfolio-bound invariants enforced inline, plus route
-// coverage so the identity claim is non-vacuous.
+// the planner-off vs planner-on comparison with the verdict-identity
+// and zero-NP invariants enforced inline, plus route coverage so the
+// identity claim is non-vacuous.
 func runPlannerSweep(scale Scale, w io.Writer, rep *ParallelReport) error {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  cost-based planner (same workload, planner off vs on):\n")
-	fmt.Fprintf(w, "  %-14s %-5s %-12s %4s %5s %5s %6s %6s %5s %8s %8s %10s %10s %8s\n",
-		"instance", "sem", "fragment", "q", "fast", "warm", "fresh", "brute", "race", "NP-off", "NP-on", "off", "on", "speedup")
+	fmt.Fprintf(w, "  %-14s %-5s %-12s %4s %5s %5s %6s %6s %8s %8s %10s %10s %8s\n",
+		"instance", "sem", "fragment", "q", "fast", "warm", "fresh", "brute", "NP-off", "NP-on", "off", "on", "speedup")
 
 	for _, fam := range plannerDBs(scale) {
 		for _, semName := range fam.sems {
@@ -360,15 +311,15 @@ func runPlannerSweep(scale Scale, w io.Writer, rep *ParallelReport) error {
 				return fmt.Errorf("planner %s/%s: definite family never hit the fast path", pc.Name, pc.Semantics)
 			case strings.HasPrefix(fam.name, "warm") && pc.Warm == 0:
 				return fmt.Errorf("planner %s/%s: warm family never hit a warm session", pc.Name, pc.Semantics)
-			case strings.HasPrefix(fam.name, "tiny") && pc.Semantics == "DSM" && (pc.Portfolio == 0 || pc.Brute == 0):
-				return fmt.Errorf("planner %s/%s: tiny family skipped portfolio (%d) or brute (%d) coverage",
-					pc.Name, pc.Semantics, pc.Portfolio, pc.Brute)
+			case strings.HasPrefix(fam.name, "tiny") && pc.Semantics == "DSM" && (pc.Fresh == 0 || pc.Brute == 0):
+				return fmt.Errorf("planner %s/%s: tiny family skipped fresh (%d) or brute (%d) coverage",
+					pc.Name, pc.Semantics, pc.Fresh, pc.Brute)
 			case pc.Semantics == "CWA" && pc.Fresh == 0:
 				return fmt.Errorf("planner %s/%s: NP-class family never took the fresh path", pc.Name, pc.Semantics)
 			}
 			rep.Planner = append(rep.Planner, pc)
-			fmt.Fprintf(w, "  %-14s %-5s %-12s %4d %5d %5d %6d %6d %5d %8d %8d %10s %10s %7.1fx\n",
-				pc.Name, pc.Semantics, pc.Fragment, pc.Queries, pc.Fast, pc.Warm, pc.Fresh, pc.Brute, pc.Portfolio,
+			fmt.Fprintf(w, "  %-14s %-5s %-12s %4d %5d %5d %6d %6d %8d %8d %10s %10s %7.1fx\n",
+				pc.Name, pc.Semantics, pc.Fragment, pc.Queries, pc.Fast, pc.Warm, pc.Fresh, pc.Brute,
 				pc.OffNP, pc.OnNP,
 				fmtDuration(time.Duration(pc.OffMS*float64(time.Millisecond))),
 				fmtDuration(time.Duration(pc.OnMS*float64(time.Millisecond))),

@@ -272,41 +272,3 @@ func (e *IncrementalEngine) MMEntails(f *logic.Formula, part Partition) bool {
 		e.solver.AddClause(lits...)
 	}
 }
-
-// MinimalModels enumerates MM(DB) on the shared solver; blocking
-// clauses are permanent (they only exclude non-minimal territory), so
-// the engine must not be used for other queries afterwards — callers
-// needing both use separate engines.
-func (e *IncrementalEngine) MinimalModels(limit int, yield func(logic.Interp) bool) int {
-	return e.MinimalModelsPZ(FullMin(e.nBase), limit, yield)
-}
-
-// MinimalModelsPZ enumerates MM(DB;P;Z) — one representative per
-// (P,Q)-signature, matching Engine.MinimalModelsPZ — entirely on the
-// shared solver: candidate search, assumption-based minimisation, and
-// permanent signature blocking all reuse the same learned-clause
-// store. The same post-enumeration caveat as MinimalModels applies.
-func (e *IncrementalEngine) MinimalModelsPZ(part Partition, limit int, yield func(logic.Interp) bool) int {
-	count := 0
-	for limit <= 0 || count < limit {
-		if e.solve() != sat.Sat {
-			return count
-		}
-		min := e.MinimizePZ(e.model(), part)
-		count++
-		if !yield(min) {
-			return count
-		}
-		block := signatureBlock(min, part, e.nBase)
-		if len(block) == 0 {
-			return count // unique signature: done
-		}
-		lits := e.scratch[:0]
-		for _, l := range block {
-			lits = append(lits, sat.MkLit(int(l.Atom()), l.IsPos()))
-		}
-		e.scratch = lits
-		e.solver.AddClause(lits...)
-	}
-	return count
-}

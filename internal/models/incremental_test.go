@@ -52,23 +52,6 @@ func TestIncrementalMinimize(t *testing.T) {
 	}
 }
 
-func TestIncrementalMinimalModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(283))
-	for iter := 0; iter < 150; iter++ {
-		d := gen.Random(rng, gen.WithIntegrity(2+rng.Intn(4), 1+rng.Intn(7)))
-		want := refsem.MinimalModels(d)
-		var got []logic.Interp
-		NewIncrementalEngine(d, nil).MinimalModels(0, func(m logic.Interp) bool {
-			got = append(got, m.Clone())
-			return true
-		})
-		if !refsem.SameModelSet(want, got) {
-			t.Fatalf("iter %d: incremental MM mismatch (want %d got %d)\nDB:\n%s",
-				iter, len(want), len(got), d.String())
-		}
-	}
-}
-
 func TestIncrementalQueriesDoNotInterfere(t *testing.T) {
 	// Many interleaved minimality queries on one engine must agree
 	// with fresh-engine answers (no residue from deactivated clauses).
@@ -119,40 +102,6 @@ func BenchmarkEngineVsIncremental(b *testing.B) {
 	}
 }
 
-func TestIncrementalMinimalModelsPZ(t *testing.T) {
-	// One representative per (P,Q)-signature, same signature set as the
-	// stateless engine's MinimalModelsPZ.
-	rng := rand.New(rand.NewSource(285))
-	for iter := 0; iter < 120; iter++ {
-		n := 3 + rng.Intn(4)
-		d := gen.Random(rng, gen.WithIntegrity(n, 1+rng.Intn(7)))
-		p, q := randomPartition(rng, n)
-		part := partitionOf(n, p, q)
-		want := map[string]bool{}
-		NewEngine(d, nil).MinimalModelsPZ(part, 0, func(m logic.Interp) bool {
-			want[pqKey(m, part, n)] = true
-			return true
-		})
-		got := map[string]bool{}
-		NewIncrementalEngine(d, nil).MinimalModelsPZ(part, 0, func(m logic.Interp) bool {
-			k := pqKey(m, part, n)
-			if got[k] {
-				t.Fatalf("iter %d: signature %q yielded twice", iter, k)
-			}
-			got[k] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d signatures, engine %d\nDB:\n%s", iter, len(got), len(want), d.String())
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("iter %d: signature %q missing\nDB:\n%s", iter, k, d.String())
-			}
-		}
-	}
-}
-
 func TestIncrementalReportsConflicts(t *testing.T) {
 	// The shared solver's conflict deltas must flow into the oracle's
 	// SATConfl audit counter, like the fresh-solver path's do.
@@ -160,7 +109,10 @@ func TestIncrementalReportsConflicts(t *testing.T) {
 	d := gen.Random(rng, gen.WithIntegrity(10, 40))
 	o := oracle.NewNP()
 	inc := NewIncrementalEngine(d, o)
-	inc.MinimalModels(0, func(logic.Interp) bool { return true })
+	part := FullMin(d.N())
+	for x := 0; x < d.N(); x++ {
+		inc.MMEntails(logic.Not(logic.AtomF(logic.Atom(x))), part)
+	}
 	c := o.Counters()
 	if c.NPCalls == 0 {
 		t.Fatalf("no NP calls recorded")
@@ -176,7 +128,9 @@ func TestIncrementalUnsatDB(t *testing.T) {
 	if ok, _ := inc.HasModel(); ok {
 		t.Fatalf("unsat DB reported satisfiable")
 	}
-	if n := inc.MinimalModels(0, func(logic.Interp) bool { return true }); n != 0 {
-		t.Fatalf("unsat DB yielded %d minimal models", n)
+	// No minimal models: every formula is entailed vacuously.
+	a := logic.AtomF(logic.Atom(0))
+	if !inc.MMEntails(a, FullMin(d.N())) || !inc.MMEntails(logic.Not(a), FullMin(d.N())) {
+		t.Fatalf("unsat DB: a formula and its negation not both entailed")
 	}
 }

@@ -106,11 +106,27 @@ func (e *Engine) IsMinimal(m logic.Interp) bool {
 }
 
 // IsMinimalPZ reports whether model m is (P;Z)-minimal: there is no
-// model N of DB with N∩Q = M∩Q and N∩P ⊊ M∩P. One NP call: the query
-// CNF is DB ∧ (Q fixed as in M) ∧ (¬p for p ∈ P\M) ∧ (∨_{p ∈ P∩M} ¬p).
+// model N of DB with N∩Q = M∩Q and N∩P ⊊ M∩P. One NP call on the
+// shrink query (shrinkQuery) over the database CNF.
 func (e *Engine) IsMinimalPZ(m logic.Interp, part Partition) bool {
 	n := e.DB.N()
-	query := logic.CloneCNF(e.cnf)
+	query, ok := shrinkQuery(e.cnf, m, part, n)
+	if !ok {
+		// M∩P is already empty: nothing can shrink.
+		return true
+	}
+	sat, _ := e.Ora.Sat(n, query)
+	return !sat
+}
+
+// shrinkQuery builds the (P;Z) shrink query for m over base:
+// base ∧ (Q fixed as in m) ∧ (¬p for p ∈ P\M) ∧ (∨_{p ∈ P∩M} ¬p), whose
+// models are the base models equal to m on Q with a P part strictly
+// inside m's. The unit clauses follow atom order and the shrink clause
+// comes last. ok is false when m∩P is empty: nothing can shrink. base
+// is cloned, never modified.
+func shrinkQuery(base logic.CNF, m logic.Interp, part Partition, n int) (query logic.CNF, ok bool) {
+	query = logic.CloneCNF(base)
 	var shrink logic.Clause
 	for v := 0; v < n; v++ {
 		a := logic.Atom(v)
@@ -130,12 +146,9 @@ func (e *Engine) IsMinimalPZ(m logic.Interp, part Partition) bool {
 		}
 	}
 	if len(shrink) == 0 {
-		// M∩P is already empty: nothing can shrink.
-		return true
+		return nil, false
 	}
-	query = append(query, shrink)
-	sat, _ := e.Ora.Sat(n, query)
-	return !sat
+	return append(query, shrink), true
 }
 
 // Minimize shrinks a model m to a minimal model below it by repeated
@@ -148,38 +161,7 @@ func (e *Engine) Minimize(m logic.Interp) logic.Interp {
 // MinimizePZ shrinks m to a (P;Z)-minimal model N with N∩P ⊆ M∩P and
 // N∩Q = M∩Q.
 func (e *Engine) MinimizePZ(m logic.Interp, part Partition) logic.Interp {
-	n := e.DB.N()
-	cur := m.Clone()
-	for {
-		query := logic.CloneCNF(e.cnf)
-		var shrink logic.Clause
-		for v := 0; v < n; v++ {
-			a := logic.Atom(v)
-			switch {
-			case part.Q.Test(v):
-				if cur.Holds(a) {
-					query = append(query, logic.Clause{logic.PosLit(a)})
-				} else {
-					query = append(query, logic.Clause{logic.NegLit(a)})
-				}
-			case part.P.Test(v):
-				if cur.Holds(a) {
-					shrink = append(shrink, logic.NegLit(a))
-				} else {
-					query = append(query, logic.Clause{logic.NegLit(a)})
-				}
-			}
-		}
-		if len(shrink) == 0 {
-			return cur
-		}
-		query = append(query, shrink)
-		sat, smaller := e.Ora.Sat(n, query)
-		if !sat {
-			return cur
-		}
-		cur = smaller
-	}
+	return e.minimizeAgainst(e.cnf, m.Clone(), part)
 }
 
 // EnumerateModels yields every model of the database over the original
@@ -322,29 +304,10 @@ func (e *Engine) minimizeAgainst(query logic.CNF, m logic.Interp, part Partition
 	n := e.DB.N()
 	cur := m
 	for {
-		q2 := logic.CloneCNF(query)
-		var shrink logic.Clause
-		for v := 0; v < n; v++ {
-			a := logic.Atom(v)
-			switch {
-			case part.Q.Test(v):
-				if cur.Holds(a) {
-					q2 = append(q2, logic.Clause{logic.PosLit(a)})
-				} else {
-					q2 = append(q2, logic.Clause{logic.NegLit(a)})
-				}
-			case part.P.Test(v):
-				if cur.Holds(a) {
-					shrink = append(shrink, logic.NegLit(a))
-				} else {
-					q2 = append(q2, logic.Clause{logic.NegLit(a)})
-				}
-			}
-		}
-		if len(shrink) == 0 {
+		q2, ok := shrinkQuery(query, cur, part, n)
+		if !ok {
 			return cur
 		}
-		q2 = append(q2, shrink)
 		sat, smaller := e.Ora.Sat(n, q2)
 		if !sat {
 			return cur
@@ -354,62 +317,10 @@ func (e *Engine) minimizeAgainst(query logic.CNF, m logic.Interp, part Partition
 }
 
 // MMEntails reports whether every minimal model of DB satisfies F —
-// the EGCWA/ECWA inference core, and via P=V also GCWA's minimal-model
-// component. It realises the Π₂ᵖ upper bound: co-search over models
-// with one NP (minimality) call per candidate. Candidates are found by
-// SAT on DB ∧ ¬F; each non-minimal candidate is minimised (its
-// minimisation may satisfy F, in which case it is blocked and the
-// search continues).
+// the verdict of MMEntailsWitness without the countermodel.
 func (e *Engine) MMEntails(f *logic.Formula, part Partition) bool {
-	n := e.DB.N()
-	voc := e.DB.Voc.Clone()
-	neg := logic.TseitinNeg(f, voc)
-	query := logic.CloneCNF(e.cnf)
-	query = append(query, neg...)
-	for {
-		sat, m := e.Ora.Sat(voc.Size(), query)
-		if !sat {
-			return true
-		}
-		// Restrict to original vocabulary.
-		mv := logic.NewInterp(n)
-		for v := 0; v < n; v++ {
-			mv.True.SetTo(v, m.Holds(logic.Atom(v)))
-		}
-		min := e.MinimizePZ(mv, part)
-		if !f.Eval(min) {
-			return false // a (P;Z)-minimal model violating F
-		}
-		// min satisfies F but the non-minimal candidate did not.
-		// Exclude all models N ⊇ min (on P, equal on Q): they are
-		// non-minimal (or Z-variants of min; Z-variants that violate F
-		// must still be considered!). Z-variants of min share min's
-		// P,Q signature and are (P;Z)-minimal iff min is — and min is.
-		// So if some Z-variant of min violates F, the answer is false:
-		// check with one SAT call before blocking.
-		if !part.Z.IsEmpty() {
-			zq := logic.CloneCNF(query)
-			for v := 0; v < n; v++ {
-				a := logic.Atom(v)
-				if part.Z.Test(v) {
-					continue
-				}
-				if min.Holds(a) {
-					zq = append(zq, logic.Clause{logic.PosLit(a)})
-				} else {
-					zq = append(zq, logic.Clause{logic.NegLit(a)})
-				}
-			}
-			if zsat, _ := e.Ora.Sat(voc.Size(), zq); zsat {
-				return false // Z-variant of min violates F
-			}
-		}
-		block := signatureBlock(min, part, n)
-		if len(block) == 0 {
-			return true // unique minimal signature, already satisfies F
-		}
-		query = append(query, block)
-	}
+	ok, _ := e.MMEntailsWitness(f, part)
+	return ok
 }
 
 // AtomFalseInAllMinimal reports whether atom x is false in every
@@ -419,84 +330,16 @@ func (e *Engine) AtomFalseInAllMinimal(x logic.Atom, part Partition) bool {
 	return e.MMEntails(logic.Not(logic.AtomF(x)), part)
 }
 
-// ExistsMinimalWithAtom reports whether some (P;Z)-minimal model of DB
-// contains x (the Σ₂ᵖ companion of the GCWA literal test) — an
-// alternative search strategy confined to the x-containing space:
-// every (P;Z)-minimal model of DB that contains x is also (P;Z)-
-// minimal within DB ∧ x, so candidates are drawn there and verified
-// with one DB-minimality call each. Which strategy wins is instance-
-// dependent (this one pays off when x-containing minimal models are
-// rare but the DB has many minimal models elsewhere; the generic
-// co-search of AtomFalseInAllMinimal wins in the opposite regime) —
-// both are exact, and the test suite cross-validates them.
-func (e *Engine) ExistsMinimalWithAtom(x logic.Atom, part Partition) bool {
-	n := e.DB.N()
-	withX := logic.CloneCNF(e.cnf)
-	withX = append(withX, logic.Clause{logic.PosLit(x)})
-	query := logic.CloneCNF(withX)
-	for {
-		sat, m := e.Ora.Sat(n, query)
-		if !sat {
-			return false
-		}
-		// Minimise within DB ∧ x (the shrink queries carry the unit x,
-		// so x survives minimisation).
-		min := e.minimizeCNF(withX, m, part)
-		// One DB-minimality call decides whether min is minimal for DB
-		// itself (a smaller DB-model would necessarily lack x).
-		if e.IsMinimalPZ(min, part) {
-			return true
-		}
-		// Block min's signature cone within the DB∧x space and retry.
-		block := signatureBlock(min, part, n)
-		if len(block) == 0 {
-			return false
-		}
-		query = append(query, block)
-	}
-}
-
-// minimizeCNF is MinimizePZ against an arbitrary base CNF (instead of
-// the database CNF), used to minimise within constrained spaces.
-func (e *Engine) minimizeCNF(base logic.CNF, m logic.Interp, part Partition) logic.Interp {
-	n := e.DB.N()
-	cur := m
-	for {
-		query := logic.CloneCNF(base)
-		var shrink logic.Clause
-		for v := 0; v < n; v++ {
-			a := logic.Atom(v)
-			switch {
-			case part.Q.Test(v):
-				if cur.Holds(a) {
-					query = append(query, logic.Clause{logic.PosLit(a)})
-				} else {
-					query = append(query, logic.Clause{logic.NegLit(a)})
-				}
-			case part.P.Test(v):
-				if cur.Holds(a) {
-					shrink = append(shrink, logic.NegLit(a))
-				} else {
-					query = append(query, logic.Clause{logic.NegLit(a)})
-				}
-			}
-		}
-		if len(shrink) == 0 {
-			return cur
-		}
-		query = append(query, shrink)
-		sat, smaller := e.Ora.Sat(n, query)
-		if !sat {
-			return cur
-		}
-		cur = smaller
-	}
-}
-
-// MMEntailsWitness is MMEntails returning, when the entailment FAILS,
-// a concrete countermodel: a (P;Z)-minimal model of DB violating f.
-// The witness makes non-inference explainable ("here is the minimal
-// world in which your formula is false").
+// MMEntailsWitness reports whether every (P;Z)-minimal model of DB
+// satisfies F — the EGCWA/ECWA inference core, and via P=V also GCWA's
+// minimal-model component — returning, when the entailment FAILS, a
+// concrete countermodel: a (P;Z)-minimal model of DB violating f. The
+// witness makes non-inference explainable ("here is the minimal world
+// in which your formula is false"). It realises the Π₂ᵖ upper bound:
+// co-search over models with one NP (minimality) call per candidate.
+// Candidates are found by SAT on DB ∧ ¬F; each non-minimal candidate
+// is minimised (its minimisation may satisfy F, in which case it is
+// blocked and the search continues).
 func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic.Interp) {
 	n := e.DB.N()
 	voc := e.DB.Voc.Clone()
@@ -508,14 +351,22 @@ func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic
 		if !sat {
 			return true, logic.Interp{}
 		}
+		// Restrict to original vocabulary.
 		mv := logic.NewInterp(n)
 		for v := 0; v < n; v++ {
 			mv.True.SetTo(v, m.Holds(logic.Atom(v)))
 		}
 		min := e.MinimizePZ(mv, part)
 		if !f.Eval(min) {
-			return false, min
+			return false, min // a (P;Z)-minimal model violating F
 		}
+		// min satisfies F but the non-minimal candidate did not.
+		// Exclude all models N ⊇ min (on P, equal on Q): they are
+		// non-minimal (or Z-variants of min; Z-variants that violate F
+		// must still be considered!). Z-variants of min share min's
+		// P,Q signature and are (P;Z)-minimal iff min is — and min is.
+		// So if some Z-variant of min violates F, the answer is false:
+		// check with one SAT call before blocking.
 		if !part.Z.IsEmpty() {
 			zq := logic.CloneCNF(query)
 			for v := 0; v < n; v++ {
@@ -539,7 +390,7 @@ func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic
 		}
 		block := signatureBlock(min, part, n)
 		if len(block) == 0 {
-			return true, logic.Interp{}
+			return true, logic.Interp{} // unique minimal signature, already satisfies F
 		}
 		query = append(query, block)
 	}

@@ -397,21 +397,3 @@ func TestMMEntailsWitness(t *testing.T) {
 		t.Fatalf("corpus produced no failed entailments")
 	}
 }
-
-func TestExistsMinimalWithAtomAgreesWithCoSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(291))
-	for iter := 0; iter < 250; iter++ {
-		n := 3 + rng.Intn(4)
-		d := gen.Random(rng, gen.WithIntegrity(n, 1+rng.Intn(7)))
-		p, q := randomPartition(rng, n)
-		part := partitionOf(n, p, q)
-		eng := NewEngine(d, nil)
-		x := logic.Atom(rng.Intn(n))
-		viaCoSearch := !eng.AtomFalseInAllMinimal(x, part)
-		viaXSpace := eng.ExistsMinimalWithAtom(x, part)
-		if viaCoSearch != viaXSpace {
-			t.Fatalf("iter %d: strategies disagree on atom %s (cosearch=%v xspace=%v)\nDB:\n%s",
-				iter, d.Voc.Name(x), viaCoSearch, viaXSpace, d.String())
-		}
-	}
-}

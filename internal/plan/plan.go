@@ -6,12 +6,11 @@
 // online from the oracle/conflict/wall-clock counters every completed
 // query produces, and picks the cheapest correct procedure: the
 // fixpoint fast path, a warm session, the fresh parallel enumeration,
-// or brute-force refsem construction for tiny instances. Queries whose
-// estimate straddles the fresh/brute boundary race a two-procedure
-// portfolio under a shared budget with first-completion-wins
-// cancellation (portfolio.go). Estimates feed the serve layer's
-// admission control so overload sheds expensive (Σ₂ᵖ-class, cold,
-// high-estimate) queries first instead of FIFO.
+// or brute-force refsem construction for tiny instances the cost model
+// has read as expensive. Exactly one procedure answers each query.
+// Estimates feed the serve layer's admission control so overload sheds
+// expensive (Σ₂ᵖ-class, cold, high-estimate) queries first instead of
+// FIFO.
 package plan
 
 import (
@@ -64,9 +63,6 @@ const (
 	// ProcBrute: explicit refsem model-set construction — no oracle at
 	// all; correct and fast only on tiny instances.
 	ProcBrute
-	// ProcPortfolio: race brute against fresh under a shared budget,
-	// first definite completion wins.
-	ProcPortfolio
 )
 
 // String returns the wire name used in /healthz and bench reports.
@@ -78,10 +74,8 @@ func (p Proc) String() string {
 		return "warm"
 	case ProcFresh:
 		return "fresh"
-	case ProcBrute:
-		return "brute"
 	default:
-		return "portfolio"
+		return "brute"
 	}
 }
 
@@ -100,13 +94,12 @@ type Decision struct {
 // Config tunes the planner. Zero values pick the defaults.
 type Config struct {
 	// BruteMaxAtoms caps the instance size (ground atoms) for the brute
-	// procedure and the portfolio. Default 8: 2⁸ interpretations
+	// procedure. Default 8: 2⁸ interpretations
 	// enumerate in microseconds; beyond that the solver-backed paths
 	// win. Hard-capped at 16 regardless of configuration.
 	BruteMaxAtoms int
 	// ExpensiveNP is the mean-NP-calls threshold that marks an
-	// estimate expensive: ≥ 2× routes to brute outright (when
-	// eligible), > ½× straddles the boundary and races the portfolio,
+	// estimate expensive: ≥ 2× routes a brute-eligible query to brute,
 	// and > 1× marks the query shed-eligible under overload. Default 8.
 	ExpensiveNP int64
 	// ShedOccupancy is the queue-occupancy fraction above which
@@ -140,17 +133,13 @@ type Planner struct {
 	cfg Config
 	est *Estimator
 
-	decisions      atomic.Int64
-	estServed      atomic.Int64
-	routedFast     atomic.Int64
-	routedWarm     atomic.Int64
-	routedFresh    atomic.Int64
-	routedBrute    atomic.Int64
-	routedPortfol  atomic.Int64
-	portfolioRaces atomic.Int64
-	winsBrute      atomic.Int64
-	winsFresh      atomic.Int64
-	shedCost       atomic.Int64
+	decisions   atomic.Int64
+	estServed   atomic.Int64
+	routedFast  atomic.Int64
+	routedWarm  atomic.Int64
+	routedFresh atomic.Int64
+	routedBrute atomic.Int64
+	shedCost    atomic.Int64
 }
 
 // New builds a planner, seeding its estimator from cfg.Store when one
@@ -193,10 +182,10 @@ func ClassOf(comp *session.Compiled, sem string, kind session.Kind) Class {
 //   - fresh for remaining polynomial cells (no solver races needed);
 //   - warm session for the minimal-model family (memo + incremental
 //     engine beat any cold procedure on hot keys);
-//   - for the rest, the brute/fresh boundary: tiny supported instances
-//     with an expensive estimate go brute, clearly-cheap estimates go
-//     fresh, and cold or boundary-straddling estimates race the
-//     portfolio — learning the true cost either way.
+//   - for the rest, brute when the instance is tiny and supported and
+//     its calibrated estimate is at least 2×ExpensiveNP, fresh
+//     otherwise — cold queries included, so the cost model learns
+//     from fresh's real counters.
 func (p *Planner) Decide(comp *session.Compiled, sem string, kind session.Kind) Decision {
 	p.decisions.Add(1)
 	d := Decision{Class: ClassOf(comp, sem, kind)}
@@ -213,16 +202,8 @@ func (p *Planner) Decide(comp *session.Compiled, sem string, kind session.Kind) 
 		d.Proc = ProcFresh
 	case session.WarmEligible(sem, kind):
 		d.Proc = ProcWarm
-	case !BruteEligible(comp, sem, p.cfg.BruteMaxAtoms):
-		d.Proc = ProcFresh
-	case !d.HaveEst:
-		// Cold tiny instance: race and calibrate.
-		d.Proc = ProcPortfolio
-	case d.EstNP >= 2*p.cfg.ExpensiveNP:
+	case d.HaveEst && d.EstNP >= 2*p.cfg.ExpensiveNP && BruteEligible(comp, sem, p.cfg.BruteMaxAtoms):
 		d.Proc = ProcBrute
-	case d.EstNP > p.cfg.ExpensiveNP/2:
-		// Straddling the boundary: race the portfolio.
-		d.Proc = ProcPortfolio
 	default:
 		d.Proc = ProcFresh
 	}
@@ -235,8 +216,6 @@ func (p *Planner) Decide(comp *session.Compiled, sem string, kind session.Kind) 
 		p.routedFresh.Add(1)
 	case ProcBrute:
 		p.routedBrute.Add(1)
-	case ProcPortfolio:
-		p.routedPortfol.Add(1)
 	}
 	return d
 }
@@ -286,16 +265,6 @@ func (p *Planner) BruteMaxAtoms() int { return p.cfg.BruteMaxAtoms }
 // snapshot to the store when one is configured.
 func (p *Planner) Observe(raw, sem string, c Cost) { p.est.observe(raw, sem, c) }
 
-// CountRace records one portfolio race and its winner for /healthz.
-func (p *Planner) CountRace(winner string) {
-	p.portfolioRaces.Add(1)
-	if winner == "brute" {
-		p.winsBrute.Add(1)
-	} else {
-		p.winsFresh.Add(1)
-	}
-}
-
 // Export snapshots the estimator for handoff/join slices.
 func (p *Planner) Export() []store.Estimate { return p.est.export() }
 
@@ -306,18 +275,14 @@ func (p *Planner) Import(list []store.Estimate) int { return p.est.merge(list) }
 // Stats is the /healthz planner section.
 func (p *Planner) Stats() map[string]int64 {
 	return map[string]int64{
-		"decisions":           p.decisions.Load(),
-		"estimates_served":    p.estServed.Load(),
-		"estimate_entries":    int64(p.est.len()),
-		"observations":        p.est.observations.Load(),
-		"routed_fast":         p.routedFast.Load(),
-		"routed_warm":         p.routedWarm.Load(),
-		"routed_fresh":        p.routedFresh.Load(),
-		"routed_brute":        p.routedBrute.Load(),
-		"routed_portfolio":    p.routedPortfol.Load(),
-		"portfolio_races":     p.portfolioRaces.Load(),
-		"portfolio_win_brute": p.winsBrute.Load(),
-		"portfolio_win_fresh": p.winsFresh.Load(),
-		"shed_cost":           p.shedCost.Load(),
+		"decisions":        p.decisions.Load(),
+		"estimates_served": p.estServed.Load(),
+		"estimate_entries": int64(p.est.len()),
+		"observations":     p.est.observations.Load(),
+		"routed_fast":      p.routedFast.Load(),
+		"routed_warm":      p.routedWarm.Load(),
+		"routed_fresh":     p.routedFresh.Load(),
+		"routed_brute":     p.routedBrute.Load(),
+		"shed_cost":        p.shedCost.Load(),
 	}
 }

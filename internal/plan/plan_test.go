@@ -75,7 +75,7 @@ func TestDecideLadder(t *testing.T) {
 	}
 	// A polynomial cell without a fast path (DDR existence once a denial
 	// disables the positive-existence shortcut) goes fresh: the engine
-	// answers it without search, no warm state or race needed.
+	// answers it without search, no warm state needed.
 	denial := compile(t, "a | b. :- a, b.")
 	if d := p.Decide(denial, "DDR", session.KindModel); d.Proc != ProcFresh || d.Class != ClassPoly {
 		t.Errorf("DDR existence with IC routed %v class %v, want fresh/poly", d.Proc, d.Class)
@@ -90,31 +90,51 @@ func TestDecideLadder(t *testing.T) {
 		t.Errorf("CWA literal routed %v, want fresh (no brute reference)", d.Proc)
 	}
 
-	// The brute/fresh boundary on a tiny Σ₂ᵖ query: cold races the
-	// portfolio; a cheap calibrated estimate goes fresh; a
-	// boundary-straddling one races; a clearly-expensive one goes brute.
+	// The brute/fresh boundary on a tiny Σ₂ᵖ query: cold goes fresh; a
+	// cheap or boundary calibrated estimate (below 2×ExpensiveNP) goes
+	// fresh; only a clearly-expensive one goes brute.
 	d := p.Decide(disj, "DSM", session.KindLiteral)
-	if d.Proc != ProcPortfolio || d.HaveEst {
-		t.Fatalf("cold tiny DSM literal routed %v (haveEst=%v), want portfolio cold", d.Proc, d.HaveEst)
+	if d.Proc != ProcFresh || d.HaveEst {
+		t.Fatalf("cold tiny DSM literal routed %v (haveEst=%v), want fresh cold", d.Proc, d.HaveEst)
 	}
 	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 2, Micros: 10})
 	if d := p.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcFresh || !d.HaveEst || d.EstNP != 2 {
 		t.Errorf("cheap-estimate DSM routed %v (est %d), want fresh", d.Proc, d.EstNP)
 	}
-	p2 := New(Config{})
-	p2.Observe(disj.Raw, "DSM", Cost{NPCalls: 6})
-	if d := p2.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcPortfolio {
-		t.Errorf("boundary-estimate DSM routed %v, want portfolio", d.Proc)
+	for _, np := range []int64{6, 8, 15} { // ExpensiveNP/2 < est < 2×ExpensiveNP
+		p2 := New(Config{})
+		p2.Observe(disj.Raw, "DSM", Cost{NPCalls: np})
+		if d := p2.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcFresh || d.EstNP != np {
+			t.Errorf("boundary-estimate DSM (est %d) routed %v, want fresh", d.EstNP, d.Proc)
+		}
 	}
-	p3 := New(Config{})
-	p3.Observe(disj.Raw, "DSM", Cost{NPCalls: 40})
-	if d := p3.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcBrute {
-		t.Errorf("expensive-estimate DSM routed %v, want brute", d.Proc)
+	for _, np := range []int64{16, 40} { // est ≥ 2×ExpensiveNP
+		p3 := New(Config{})
+		p3.Observe(disj.Raw, "DSM", Cost{NPCalls: np})
+		if d := p3.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcBrute {
+			t.Errorf("expensive-estimate DSM (est %d) routed %v, want brute", np, d.Proc)
+		}
+	}
+
+	// Above the default BruteMaxAtoms (8) no estimate routes brute.
+	nine := compile(t, "a | b. c | d. e | f. g | h. i | a.")
+	if nine.N != 9 {
+		t.Fatalf("nine-atom instance has %d atoms", nine.N)
+	}
+	p4 := New(Config{})
+	if d := p4.Decide(nine, "DSM", session.KindLiteral); d.Proc != ProcFresh {
+		t.Errorf("cold 9-atom DSM routed %v, want fresh", d.Proc)
+	}
+	for _, np := range []int64{6, 16, 10_000} {
+		p4.Observe(nine.Raw, "DSM", Cost{NPCalls: np})
+		if d := p4.Decide(nine, "DSM", session.KindLiteral); d.Proc == ProcBrute {
+			t.Errorf("9-atom DSM with estimate %d routed brute", d.EstNP)
+		}
 	}
 
 	st := p.Stats()
 	if st["decisions"] == 0 || st["routed_fast"] == 0 || st["routed_warm"] == 0 ||
-		st["routed_fresh"] == 0 || st["routed_portfolio"] == 0 {
+		st["routed_fresh"] == 0 {
 		t.Errorf("routing counters not maintained: %v", st)
 	}
 }
@@ -124,7 +144,7 @@ func TestShouldShed(t *testing.T) {
 	definite := compile(t, "a. b :- a.")
 	p := New(Config{})
 
-	cold := p.Decide(disj, "DSM", session.KindLiteral) // Σ₂ᵖ, cold, portfolio
+	cold := p.Decide(disj, "DSM", session.KindLiteral) // Σ₂ᵖ, cold, fresh
 	if p.ShouldShed(cold, 3, 8) {
 		t.Error("shed below the occupancy threshold")
 	}

@@ -86,9 +86,10 @@ type QueryResponse struct {
 	Limits     LimitsJSON   `json:"limits"`
 	// Path reports how the answer was produced when the warm session
 	// layer is on: "fast" (fragment fast path, zero NP calls),
-	// "session" (warm incremental engine), or "coalesced" (shared from
-	// a concurrent identical request — counters and timings are the
-	// leader's). Empty for the fresh path.
+	// "session" (warm incremental engine), "coalesced" (shared from a
+	// concurrent identical request — counters and timings are the
+	// leader's), or, with the planner on, "brute" (refsem model-set
+	// construction, zero NP calls). Empty for the fresh path.
 	Path    string  `json:"path,omitempty"`
 	Retries int     `json:"retries"`
 	QueueMS float64 `json:"queue_ms"`

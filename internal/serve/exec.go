@@ -15,10 +15,10 @@ import (
 
 // execute runs one admitted query under its clamped budget. The
 // procedure ladder is: warm session layer (fragment fast paths and
-// warm incremental engines) first, then — when the planner is on — the
-// routed procedure (brute refsem for tiny expensive instances, or a
-// brute-vs-fresh portfolio race for boundary estimates), and finally
-// the fresh per-attempt path with bounded transient retries. It
+// warm incremental engines) first, then — when the planner routed the
+// query brute — refsem construction for a tiny instance the cost model
+// reads as expensive, and otherwise the fresh per-attempt path with
+// bounded transient retries. Exactly one procedure answers. It
 // returns the wire response, or a semantic error (ErrUnsupported /
 // ErrNotStratifiable) for the handler to surface as a typed 422.
 // Every finished query's measured counters feed the planner's cost
@@ -54,23 +54,12 @@ func (s *Server) execute(reqCtx context.Context, kind string, pq parsedQuery) (Q
 		}
 	}
 
-	if s.planner != nil && pq.planned {
-		switch pq.dec.Proc {
-		case plan.ProcBrute:
-			if resp, ok := s.executeBrute(ctx, kind, pq); ok {
-				s.observeCost(pq, resp)
-				return resp, nil
-			}
-			// Ineligible after all (or already canceled): fresh path.
-		case plan.ProcPortfolio:
-			if resp, semErr, handled := s.executePortfolio(ctx, kind, pq, seq); handled {
-				if semErr != nil {
-					return QueryResponse{}, semErr
-				}
-				s.observeCost(pq, resp)
-				return resp, nil
-			}
+	if s.planner != nil && pq.planned && pq.dec.Proc == plan.ProcBrute {
+		if resp, ok := s.executeBrute(ctx, kind, pq); ok {
+			s.observeCost(pq, resp)
+			return resp, nil
 		}
+		// Ineligible after all (or already canceled): fresh path.
 	}
 
 	resp, semErr := s.freshLoop(ctx, kind, pq, seq)
@@ -139,43 +128,6 @@ func (s *Server) freshLoop(ctx context.Context, kind string, pq parsedQuery, seq
 	}
 }
 
-// freshOnce is one fresh attempt as a portfolio arm: same budget,
-// oracle, and fault salting as the loop's attempt 0, but no retries —
-// the brute arm completes deterministically, so a transiently failed
-// fresh arm simply loses the race.
-func (s *Server) freshOnce(ctx context.Context, kind string, pq parsedQuery, seq uint64) plan.Outcome {
-	b := budget.New(ctx, pq.eff)
-	o := oracle.NewNP().WithBudget(b)
-	if s.cfg.FaultRate > 0 {
-		o.WithFaults(faults.NewInjector(s.cfg.FaultRate, s.cfg.FaultSeed+int64(seq)*1000003))
-	}
-	sem, ok := core.New(pq.semName, core.Options{Oracle: o})
-	if !ok {
-		return plan.Outcome{Err: core.ErrUnsupported}
-	}
-	var holds bool
-	var err error
-	switch kind {
-	case "literal":
-		holds, err = sem.InferLiteral(pq.d, pq.lit)
-	case "formula":
-		holds, err = sem.InferFormula(pq.d, pq.formula)
-	default: // "model"
-		holds, err = sem.HasModel(pq.d)
-	}
-	out := plan.Outcome{Counters: o.Counters()}
-	v, semErr := core.VerdictOf(holds, err)
-	switch {
-	case semErr != nil:
-		out.Err = semErr
-	case v.Incomplete:
-		out.Err = v.Cause
-	default:
-		out.Holds = v.Holds
-	}
-	return out
-}
-
 // executeBrute answers a tiny instance by explicit refsem model-set
 // construction — no oracle, no search, a definite verdict in
 // microseconds. ok is false when the pair turns out ineligible (the
@@ -197,55 +149,6 @@ func (s *Server) executeBrute(ctx context.Context, kind string, pq parsedQuery) 
 		Path:      "brute",
 		SolveMS:   float64(time.Since(start)) / float64(time.Millisecond),
 	}, true
-}
-
-// executePortfolio races the brute construction against one fresh
-// attempt under the query's single budget envelope: the fresh arm's
-// budget derives from the race context, so the first definite
-// completion cancels the loser mid-search and its budget trip is
-// discarded, never surfaced. The response carries the portfolio's
-// total counters — both arms' work, including the canceled loser's
-// partial — so accounting can't hide the race's cost. handled=false
-// means the pair was ineligible and the caller runs the fresh loop.
-func (s *Server) executePortfolio(ctx context.Context, kind string, pq parsedQuery, seq uint64) (QueryResponse, error, bool) {
-	if !plan.BruteEligible(pq.comp, pq.semName, s.planner.BruteMaxAtoms()) {
-		return QueryResponse{}, nil, false
-	}
-	start := time.Now()
-	k := sessionKind(kind)
-	bruteArm := plan.Arm{Name: "brute", Run: func(actx context.Context) plan.Outcome {
-		holds, ok := plan.Brute(actx, pq.comp, pq.semName, k, pq.lit, pq.formula, s.planner.BruteMaxAtoms())
-		if !ok {
-			err := actx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			return plan.Outcome{Err: err}
-		}
-		return plan.Outcome{Holds: holds}
-	}}
-	freshArm := plan.Arm{Name: "fresh", Run: func(actx context.Context) plan.Outcome {
-		return s.freshOnce(actx, kind, pq, seq)
-	}}
-	res := plan.Race(ctx, bruteArm, freshArm)
-	s.planner.CountRace(res.Winner)
-	v, semErr := core.VerdictOf(res.Out.Holds, res.Out.Err)
-	if semErr != nil {
-		return QueryResponse{}, semErr, true
-	}
-	return QueryResponse{
-		Semantics:  pq.semName,
-		Kind:       kind,
-		Verdict:    VerdictString(v),
-		Holds:      v.Holds,
-		Incomplete: v.Incomplete,
-		CauseCode:  CauseCode(v.Cause),
-		Cause:      causeString(v.Cause),
-		Counters:   CountersFrom(res.Total),
-		Limits:     LimitsFrom(pq.eff),
-		Path:       "portfolio:" + res.Winner,
-		SolveMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	}, nil, true
 }
 
 // observeCost feeds one finished query's measured counters into the

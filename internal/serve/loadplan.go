@@ -95,7 +95,7 @@ type PlannerABRow struct {
 	FIFO       LoadReport `json:"fifo"` // planner off
 	CostAware  LoadReport `json:"cost_aware"`
 	// Planner is the cost-aware server's /healthz planner section
-	// after the leg (shed_cost, routing, portfolio histogram).
+	// after the leg (shed_cost, per-procedure routing counts).
 	Planner map[string]int64 `json:"planner"`
 }
 

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
+	"disjunct/internal/core"
+	"disjunct/internal/db"
 	"disjunct/internal/keyspace"
+	"disjunct/internal/logic"
+	"disjunct/internal/oracle"
 	"disjunct/internal/plan"
+	"disjunct/internal/refsem"
 )
 
 // newPlannerServer builds a planner-enabled server (which implies
@@ -25,9 +29,10 @@ func newPlannerServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // TestPlannerVerdictIdentityAndPaths drives one query through every
 // procedure the planner routes between — fast path, warm session,
-// portfolio race, brute, and fresh — and checks each served verdict
-// against the direct library call. The planner must never move a
-// verdict, only the route that produces it.
+// brute, and fresh — and checks each served verdict against the direct
+// library call. The planner must never move a verdict, only the route
+// that produces it, and a fresh-routed answer reports exactly the
+// counters of one direct fresh call.
 func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	srv, ts := newPlannerServer(t, Config{})
 
@@ -55,14 +60,37 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	if qr := post1("GCWA", "a | b. b | c.", "-a"); qr.Path != "session" {
 		t.Errorf("disjunctive GCWA: path %q, want session", qr.Path)
 	}
-	// Cold tiny Σ₂ᵖ query outside the warm family: portfolio race.
-	if qr := post1("DSM", "a | b. b | c.", "-a"); !strings.HasPrefix(qr.Path, "portfolio:") {
-		t.Errorf("cold tiny DSM: path %q, want portfolio:*", qr.Path)
+	// Cold tiny Σ₂ᵖ query outside the warm family: the fresh path, one
+	// procedure, with the verdict of the reference construction and the
+	// counters of one direct fresh call.
+	const dsmDB, dsmLit = "a | b. b | c.", "-a"
+	qr := post1("DSM", dsmDB, dsmLit)
+	if qr.Path != "" {
+		t.Errorf("cold tiny DSM: path %q, want fresh (empty)", qr.Path)
+	}
+	d, err := db.Parse(dsmDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, err := parseLiteral(dsmLit, d.Voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refsem.Entails(refsem.DSM(d), logic.LitF(lit)); qr.Holds != want {
+		t.Errorf("cold tiny DSM: served %v, refsem %v", qr.Holds, want)
+	}
+	o := oracle.NewNP()
+	sem, _ := core.New("DSM", core.Options{Oracle: o})
+	if _, err := sem.InferLiteral(d, lit); err != nil {
+		t.Fatal(err)
+	}
+	if want := CountersFrom(o.Counters()); qr.Counters != want || want.NPCalls == 0 {
+		t.Errorf("cold tiny DSM: served counters %+v, direct fresh call %+v (want equal, nonzero NP)", qr.Counters, want)
 	}
 	// Calibrate the key expensive: the next decision routes brute.
 	ests := srv.planner.Export()
 	if len(ests) == 0 {
-		t.Fatal("no estimate recorded after the portfolio query")
+		t.Fatal("no estimate recorded after the fresh query")
 	}
 	var dsmRaw string
 	for _, e := range ests {
@@ -74,7 +102,7 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 		t.Fatalf("no DSM estimate in %d exported entries", len(ests))
 	}
 	srv.planner.Observe(dsmRaw, "DSM", plan.Cost{NPCalls: 10_000})
-	if qr := post1("DSM", "a | b. b | c.", "-a"); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
+	if qr := post1("DSM", dsmDB, dsmLit); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
 		t.Errorf("expensive-estimate DSM: path %q np=%d, want brute/0", qr.Path, qr.Counters.NPCalls)
 	}
 	// No brute reference and no warm family: the fresh path, as before
@@ -92,8 +120,7 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	}
 	for _, key := range []string{
 		"decisions", "estimates_served", "estimate_entries", "observations",
-		"routed_fast", "routed_warm", "routed_fresh", "routed_brute", "routed_portfolio",
-		"portfolio_races", "portfolio_win_brute", "portfolio_win_fresh", "shed_cost",
+		"routed_fast", "routed_warm", "routed_fresh", "routed_brute", "shed_cost",
 	} {
 		if _, ok := h.Planner[key]; !ok {
 			t.Fatalf("healthz planner section missing %q: %v", key, h.Planner)
@@ -101,11 +128,11 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	}
 	ps := h.Planner
 	if ps["routed_fast"] == 0 || ps["routed_warm"] == 0 || ps["routed_fresh"] == 0 ||
-		ps["routed_brute"] == 0 || ps["routed_portfolio"] == 0 {
+		ps["routed_brute"] == 0 {
 		t.Errorf("route coverage missing in planner stats: %v", ps)
 	}
-	if ps["portfolio_races"] == 0 || ps["portfolio_races"] != ps["portfolio_win_brute"]+ps["portfolio_win_fresh"] {
-		t.Errorf("portfolio winner histogram inconsistent: %v", ps)
+	if len(ps) != 9 {
+		t.Errorf("planner section has %d keys, want 9: %v", len(ps), ps)
 	}
 	if _, ok := h.Stats["shed_cost"]; !ok {
 		t.Error("healthz stats missing shed_cost counter")

@@ -119,7 +119,7 @@ type Config struct {
 	// Planner switches on the cost-based query planner (internal/plan):
 	// every query is classified into a cost class before admission,
 	// routed to the cheapest correct procedure (fast path / warm
-	// session / fresh / brute refsem / two-procedure portfolio), and
+	// session / fresh / brute refsem), and
 	// under overload the admission queue sheds expensive queries first
 	// with a typed shed_cost 429 instead of FIFO. Forces Sessions on
 	// (the planner classifies on the compiled artifact).
@@ -814,7 +814,7 @@ type Health struct {
 	Store map[string]int64 `json:"store,omitempty"`
 	// Planner is present when the cost-based planner is enabled:
 	// decisions and estimates served, per-procedure routing counts,
-	// portfolio races with the winner histogram, and cost sheds.
+	// and cost sheds.
 	Planner map[string]int64 `json:"planner,omitempty"`
 }
 
