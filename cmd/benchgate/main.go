@@ -229,10 +229,10 @@ func auditBatch(g *gate, f bench.BatchCase) {
 	}
 }
 
-// compareStream gates the streaming sweep: the model count and push
-// NP total are pinned to the baseline, and the drained iterator must
-// report the exact NP total of the push enumerator. Time-to-first-
-// model is reported, never gated.
+// compareStream gates the streaming sweep: the model count and the
+// drained ("push") NP total are pinned to the baseline, and the pulled
+// iterator must report the exact NP total of the drained run.
+// Time-to-first-model is reported, never gated.
 func compareStream(g *gate, base, fresh []bench.StreamCase) {
 	if len(base) == 0 && len(fresh) > 0 {
 		fmt.Printf("  stream: %d case(s) in fresh run, none in baseline — not gated\n", len(fresh))

@@ -297,14 +297,13 @@ func (ch *chaosChecker) check(d *db.DB, rng *rand.Rand, iter int) bool {
 		}
 	}
 
-	// Budgeted parallel enumeration vs the unbudgeted worker pool:
-	// a completed run must produce exactly the reference minimal-model
-	// set; an interrupted one must yield a subset.
+	// Budgeted parallel enumeration vs brute-force MM(DB): a completed
+	// run must produce exactly the reference minimal-model set; an
+	// interrupted one must yield a subset.
 	refSet := map[string]bool{}
-	models.NewEngine(d, oracle.NewNP()).MinimalModels(0, func(m logic.Interp) bool {
+	for _, m := range refsem.MinimalModels(d) {
 		refSet[m.Key()] = true
-		return true
-	})
+	}
 	o, _ := ch.oracle(iter, 3)
 	eng := models.NewEngine(d, o)
 	got := map[string]bool{}
@@ -413,25 +412,8 @@ func (sc *serveChecker) check(d *db.DB, rng *rand.Rand) bool {
 	litText := rt.Voc.LitString(lit)
 	ok := true
 
-	type refFn func(*db.DB) []logic.Interp
-	cases := []struct {
-		sem      string
-		ref      refFn
-		positive bool
-		noIC     bool
-	}{
-		{"GCWA", refsem.GCWA, false, false},
-		{"EGCWA", refsem.EGCWA, false, false},
-		{"DDR", refsem.DDR, true, false},
-		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false},
-		{"PERF", refsem.PERF, false, true},
-	}
-	for _, c := range cases {
-		if c.positive && rt.HasNegation() {
-			continue
-		}
-		if c.noIC && rt.HasIntegrityClauses() {
+	for _, c := range soakCases {
+		if !c.applies(rt) {
 			continue
 		}
 		sc.queries++
@@ -588,24 +570,8 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 	litText := rt.Voc.LitString(lit)
 	ok := true
 
-	cases := []struct {
-		sem      string
-		ref      func(*db.DB) []logic.Interp
-		positive bool
-		noIC     bool
-	}{
-		{"GCWA", refsem.GCWA, false, false}, // warm-session route
-		{"EGCWA", refsem.EGCWA, false, false},
-		{"DDR", refsem.DDR, true, false}, // NP-class, brute-eligible
-		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, fresh or brute route
-		{"PERF", refsem.PERF, false, true},
-	}
-	for _, c := range cases {
-		if c.positive && rt.HasNegation() {
-			continue
-		}
-		if c.noIC && rt.HasIntegrityClauses() {
+	for _, c := range soakCases {
+		if !c.applies(rt) {
 			continue
 		}
 		want := refsem.Entails(c.ref(rt), logic.LitF(lit))
@@ -739,25 +705,8 @@ func (sx *sessionChecker) check(d *db.DB, rng *rand.Rand) bool {
 	ok := true
 	ctx := context.Background()
 
-	type refFn func(*db.DB) []logic.Interp
-	cases := []struct {
-		sem      string
-		ref      refFn
-		positive bool
-		noIC     bool
-	}{
-		{"GCWA", refsem.GCWA, false, false},
-		{"EGCWA", refsem.EGCWA, false, false},
-		{"DDR", refsem.DDR, true, false},
-		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false},
-		{"PERF", refsem.PERF, false, true},
-	}
-	for _, c := range cases {
-		if c.positive && d.HasNegation() {
-			continue
-		}
-		if c.noIC && d.HasIntegrityClauses() {
+	for _, c := range soakCases {
+		if !c.applies(d) {
 			continue
 		}
 		sx.queries++
@@ -892,6 +841,33 @@ func (sx *sessionChecker) replay() bool {
 	return ok
 }
 
+// soakCase is one semantics the checkers cross-check against its
+// brute-force refsem reference, with the database classes it is
+// defined on.
+type soakCase struct {
+	sem      string
+	ref      func(*db.DB) []logic.Interp
+	positive bool // requires no negation
+	noIC     bool // requires no integrity clauses
+}
+
+// applies reports whether c's semantics is defined on d.
+func (c soakCase) applies(d *db.DB) bool {
+	return !(c.positive && d.HasNegation()) && !(c.noIC && d.HasIntegrityClauses())
+}
+
+// soakCases is the table every checker replays. Under -planner, GCWA
+// takes the warm-session route, DDR and PWS are NP-class and
+// brute-eligible, and DSM is Σ₂ᵖ-class (fresh or brute route).
+var soakCases = []soakCase{
+	{"GCWA", refsem.GCWA, false, false},
+	{"EGCWA", refsem.EGCWA, false, false},
+	{"DDR", refsem.DDR, true, false},
+	{"PWS", refsem.PWS, true, false},
+	{"DSM", refsem.DSM, false, false},
+	{"PERF", refsem.PERF, false, true},
+}
+
 // check cross-validates one database across all applicable semantics.
 func check(d *db.DB, rng *rand.Rand) bool {
 	n := d.N()
@@ -899,25 +875,8 @@ func check(d *db.DB, rng *rand.Rand) bool {
 	lit := logic.NegLit(x)
 	ok := true
 
-	type refFn func(*db.DB) []logic.Interp
-	cases := []struct {
-		sem      string
-		ref      refFn
-		positive bool // requires no negation
-		noIC     bool // requires no integrity clauses
-	}{
-		{"GCWA", refsem.GCWA, false, false},
-		{"EGCWA", refsem.EGCWA, false, false},
-		{"DDR", refsem.DDR, true, false},
-		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false},
-		{"PERF", refsem.PERF, false, true},
-	}
-	for _, c := range cases {
-		if c.positive && d.HasNegation() {
-			continue
-		}
-		if c.noIC && d.HasIntegrityClauses() {
+	for _, c := range soakCases {
+		if !c.applies(d) {
 			continue
 		}
 		s, _ := core.New(c.sem, core.Options{})

@@ -65,11 +65,13 @@ func main() {
 			fmt.Println("  minimal model:", mm.String(d.Voc))
 			return true
 		}
+		var it models.ModelIterator
 		if *parWorkers >= 0 {
-			eng.MinimalModelsPar(16, print, models.ParOptions{Workers: *parWorkers})
+			it = eng.IterateMinimalModelsPar(16, models.ParOptions{Workers: *parWorkers})
 		} else {
-			eng.MinimalModels(16, print)
+			it = eng.IterateMinimalModels(16)
 		}
+		models.Drain(it, print)
 	}
 	if !unique {
 		os.Exit(1)

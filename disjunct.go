@@ -155,7 +155,8 @@ func NegLit(a Atom) Lit { return logic.NegLit(a) }
 // substrate of the closed-world semantics — invoking yield for each.
 // limit ≤ 0 means unlimited; the count is returned.
 func MinimalModels(d *DB, limit int, yield func(Interp) bool) int {
-	return models.NewEngine(d, nil).MinimalModels(limit, yield)
+	count, _ := models.Drain(models.NewEngine(d, nil).IterateMinimalModels(limit), yield)
+	return count // unbudgeted: the enumeration always completes
 }
 
 // UniqueMinimalModel decides UMINSAT for the database (Proposition 5.4

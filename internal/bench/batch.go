@@ -42,13 +42,13 @@ type BatchCase struct {
 }
 
 // StreamCase is one buffered-vs-iterator enumeration comparison on a
-// seeded instance: the push enumerator collecting every model (the
+// seeded instance: models.Drain pushing every model into a buffer (the
 // time a buffered response makes the client wait before the FIRST
-// model is visible) against the pull iterator's time-to-first-model.
-// runStreamSweep asserts that the drained iterator yields the exact
-// model set, count, and NP-call total of the push run and terminates
-// with the typed completion error; the TTFM ratio is reported, never
-// gated.
+// model is visible; PushNP is its NP total) against pulling the same
+// iterator through Next and its time-to-first-model. runStreamSweep
+// asserts that the pulled iterator yields the exact model set, count,
+// and NP-call total of the drained run and terminates with the typed
+// completion error; the TTFM ratio is reported, never gated.
 type StreamCase struct {
 	Name         string  `json:"name"`
 	Kind         string  `json:"kind"`
@@ -237,10 +237,10 @@ func streamDBs(scale Scale) []struct {
 	}
 }
 
-// runStreamWorkload enumerates one instance through the push API
-// (buffered: all models collected before anything is visible) and the
-// pull iterator, auditing set/count/NP identity and measuring
-// time-to-first-model.
+// runStreamWorkload enumerates one instance twice: pushed through
+// models.Drain (buffered: all models collected before anything is
+// visible) and pulled through the iterator's Next, auditing
+// set/count/NP identity and measuring time-to-first-model.
 func runStreamWorkload(name, kind string, d *db.DB) (StreamCase, error) {
 	sc := StreamCase{Name: name, Kind: kind, Atoms: d.N()}
 	ctx := context.Background()
@@ -249,10 +249,12 @@ func runStreamWorkload(name, kind string, d *db.DB) (StreamCase, error) {
 	pushEng := models.NewEngine(d, pushOra)
 	pushKeys := map[string]bool{}
 	t0 := time.Now()
+	pushIt := pushEng.IterateModels(0)
 	if kind == "minimal" {
-		pushEng.MinimalModels(0, func(m logic.Interp) bool { pushKeys[m.Key()] = true; return true })
-	} else {
-		pushEng.EnumerateModels(0, func(m logic.Interp) bool { pushKeys[m.Key()] = true; return true })
+		pushIt = pushEng.IterateMinimalModels(0)
+	}
+	if _, err := models.Drain(pushIt, func(m logic.Interp) bool { pushKeys[m.Key()] = true; return true }); err != nil {
+		return sc, fmt.Errorf("stream %s: drained enumeration interrupted: %v", name, err)
 	}
 	bufferedT := time.Since(t0)
 	sc.Models = len(pushKeys)
@@ -308,11 +310,11 @@ func runStreamWorkload(name, kind string, d *db.DB) (StreamCase, error) {
 }
 
 // runStreamSweep is the time-to-first-model section of RunParallel:
-// buffered push enumeration vs the pull iterator, with the
-// set/count/NP-identity invariants enforced inline.
+// buffered enumeration pushed through models.Drain vs the pulled
+// iterator, with the set/count/NP-identity invariants enforced inline.
 func runStreamSweep(scale Scale, w io.Writer, rep *ParallelReport) error {
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  streaming enumeration (buffered push vs pull iterator, time to first model):\n")
+	fmt.Fprintf(w, "  streaming enumeration (buffered Drain vs pull iterator, time to first model):\n")
 	fmt.Fprintf(w, "  %-14s %-8s %6s %8s %9s %10s %10s %10s %8s\n",
 		"instance", "kind", "atoms", "models", "NP-calls", "buffered", "first", "drain", "TTFM")
 

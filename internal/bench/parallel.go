@@ -126,29 +126,26 @@ func RunParallel(scale Scale, w io.Writer) (*ParallelReport, error) {
 	fmt.Fprintf(w, "  %-14s %6s %8s %10s %10s %10s %10s %8s\n",
 		"instance", "atoms", "|MM|", "serial", "par1", "parN", "NP-serial", "NP-par")
 
-	collect := func(d *db.DB, run func(e *models.Engine, keys map[string]bool) int) (map[string]bool, int64, time.Duration) {
+	collect := func(d *db.DB, iterate func(e *models.Engine) models.ModelIterator) (map[string]bool, int64, time.Duration) {
 		o := oracle.NewNP()
 		e := models.NewEngine(d, o)
 		keys := map[string]bool{}
 		start := time.Now()
-		run(e, keys)
+		models.Drain(iterate(e), func(m logic.Interp) bool {
+			keys[m.Key()] = true
+			return true
+		})
 		return keys, o.Counters().NPCalls, time.Since(start)
 	}
 
 	for _, pc := range parallelDBs(scale) {
 		d := pc.db
-		serialKeys, serialNP, serialT := collect(d, func(e *models.Engine, keys map[string]bool) int {
-			return e.MinimalModels(0, func(m logic.Interp) bool {
-				keys[m.Key()] = true
-				return true
-			})
+		serialKeys, serialNP, serialT := collect(d, func(e *models.Engine) models.ModelIterator {
+			return e.IterateMinimalModels(0)
 		})
 		parRun := func(workers int) (map[string]bool, int64, time.Duration) {
-			return collect(d, func(e *models.Engine, keys map[string]bool) int {
-				return e.MinimalModelsPar(0, func(m logic.Interp) bool {
-					keys[m.Key()] = true
-					return true
-				}, models.ParOptions{Workers: workers})
+			return collect(d, func(e *models.Engine) models.ModelIterator {
+				return e.IterateMinimalModelsPar(0, models.ParOptions{Workers: workers})
 			})
 		}
 		par1Keys, par1NP, par1T := parRun(1)
@@ -194,7 +191,7 @@ func RunParallel(scale Scale, w io.Writer) (*ParallelReport, error) {
 			o.SetPooling(pooled)
 			e := models.NewEngine(d, o)
 			start := time.Now()
-			e.MinimalModels(0, func(logic.Interp) bool { return true })
+			models.Drain(e.IterateMinimalModels(0), func(logic.Interp) bool { return true })
 			return o.Counters().NPCalls, time.Since(start)
 		}
 		calls, freshT := runOnce(false)
@@ -279,7 +276,7 @@ func runOneShotWorkload(d *db.DB, part models.Partition) (oracle.Counters, time.
 		e.AtomFalseInAllMinimal(logic.Atom(v), part)
 	}
 	e.MMEntails(logic.Or(logic.AtomF(0), logic.AtomF(1), logic.AtomF(2)), part)
-	e.MinimalModelsPZ(part, 0, func(logic.Interp) bool { return true })
+	models.Drain(e.IterateMinimalModelsPZ(part, 0), func(logic.Interp) bool { return true })
 	return o.Counters(), time.Since(start)
 }
 
@@ -293,10 +290,10 @@ func signatureSet(d *db.DB, part models.Partition, workers int) (map[string]bool
 	pq := part.P.Clone()
 	pq.UnionWith(part.Q)
 	keys := map[string]bool{}
-	e.MinimalModelsPZPar(part, 0, func(m logic.Interp) bool {
+	models.Drain(e.IterateMinimalModelsPZPar(part, 0, models.ParOptions{Workers: workers}), func(m logic.Interp) bool {
 		keys[m.True.Clone().IntersectWith(pq).Key()] = true
 		return true
-	}, models.ParOptions{Workers: workers})
+	})
 	return keys, o.Counters().NPCalls
 }
 

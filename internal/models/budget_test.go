@@ -15,6 +15,7 @@ import (
 	"disjunct/internal/gen"
 	"disjunct/internal/logic"
 	"disjunct/internal/oracle"
+	"disjunct/internal/refsem"
 )
 
 // settleGoroutines waits for the goroutine count to fall back to at
@@ -55,18 +56,18 @@ func equalKeys(a, b []string) bool {
 
 // TestBudgetedCompleteIsByteIdentical: under a generous budget every
 // budgeted enumerator completes and yields exactly the unbudgeted
-// enumerator's model set; the serial one in the identical order.
+// enumerator's model set (MM(DB) by brute force); the serial one in
+// the identical order with the identical NP charge.
 func TestBudgetedCompleteIsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 60; iter++ {
 		d := gen.Random(rng, gen.Config{Atoms: 3 + rng.Intn(5), Clauses: 2 + rng.Intn(8), MaxHead: 3, MaxBody: 2, FactProb: 0.4})
 
-		ref := NewEngine(d, oracle.NewNP())
-		var want []logic.Interp
-		ref.MinimalModels(0, func(m logic.Interp) bool {
-			want = append(want, m.Clone())
-			return true
-		})
+		ref := oracle.NewNP()
+		want := collect(NewEngine(d, ref).IterateMinimalModels(0))
+		if !refsem.SameModelSet(refsem.MinimalModels(d), want) {
+			t.Fatalf("iter %d: unbudgeted enumeration is not MM(DB)", iter)
+		}
 
 		o := oracle.NewNP().WithBudget(budget.New(context.Background(), budget.Limits{NPCalls: 1 << 30, Deadline: time.Hour}))
 		eng := NewEngine(d, o)
@@ -85,6 +86,9 @@ func TestBudgetedCompleteIsByteIdentical(t *testing.T) {
 			if want[i].Key() != got[i].Key() {
 				t.Fatalf("iter %d: order/content diverges at %d", iter, i)
 			}
+		}
+		if a, b := o.Counters().NPCalls, ref.Counters().NPCalls; a != b {
+			t.Fatalf("iter %d: budgeted NP=%d, unbudgeted NP=%d", iter, a, b)
 		}
 
 		// Parallel budgeted: same set (order is nondeterministic).
@@ -110,12 +114,10 @@ func TestBudgetedCompleteIsByteIdentical(t *testing.T) {
 // counter is exact.
 func TestNPCallBudgetYieldsPartialResult(t *testing.T) {
 	d := dbtest.MustParse("a | b. c | d. e | f. g | h.")
-	ref := NewEngine(d, oracle.NewNP())
 	refSet := map[string]bool{}
-	ref.MinimalModels(0, func(m logic.Interp) bool {
+	for _, m := range refsem.MinimalModels(d) {
 		refSet[m.Key()] = true
-		return true
-	})
+	}
 
 	const limit = 4
 	o := oracle.NewNP().WithBudget(budget.New(context.Background(), budget.Limits{NPCalls: limit}))
@@ -229,13 +231,7 @@ func TestPreCanceledContextFailsFast(t *testing.T) {
 // goroutines. Run under -race.
 func TestFaultInjectionWorkerPool(t *testing.T) {
 	d := dbtest.MustParse("a | b. b | c. c | a. d | e.")
-	ref := NewEngine(d, oracle.NewNP())
-	var want []logic.Interp
-	ref.MinimalModels(0, func(m logic.Interp) bool {
-		want = append(want, m.Clone())
-		return true
-	})
-	wantKeys := sortedKeys(want)
+	wantKeys := sortedKeys(refsem.MinimalModels(d))
 
 	base := runtime.NumGoroutine()
 	completed, interrupted := 0, 0

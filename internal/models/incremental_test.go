@@ -79,11 +79,7 @@ func BenchmarkEngineVsIncremental(b *testing.B) {
 		part := FullMin(n)
 		// Pre-compute a pool of models to check.
 		eng := NewEngine(d, nil)
-		var pool []logic.Interp
-		eng.EnumerateModels(16, func(m logic.Interp) bool {
-			pool = append(pool, m.Clone())
-			return true
-		})
+		pool := collect(eng.IterateModels(16))
 		if len(pool) == 0 {
 			b.Fatal("no models")
 		}

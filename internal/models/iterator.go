@@ -13,20 +13,19 @@ import (
 	"disjunct/internal/sat"
 )
 
-// This file is the pull-based surface of the model engine. Every
+// This file is the model engine's only enumeration surface. Every
 // enumerator variant — serial or worker-pool, all-models or
-// (P;Z)-minimal — is exposed as a ModelIterator, and Drain adapts any
-// of them back to a budget-aware yield callback. Pull composition is
-// what the streaming endpoint and the batch planner build on: a
-// consumer controls pacing, can stop after any model without paying
-// for the rest, and receives the interruption cause as a typed error
-// instead of a recovered panic.
+// (P;Z)-minimal — is a ModelIterator, and Drain feeds any of them to a
+// budget-aware yield callback. A consumer controls pacing, can stop
+// after any model without paying for the rest, and receives the
+// interruption cause as a typed error instead of a recovered panic.
 //
 // Iterator contract:
 //
-//   - Next returns (model, nil) for each model, in the same order (or,
-//     for the parallel variants, the same set) as the corresponding
-//     push enumerator, with identical NP-oracle charging.
+//   - Next returns (model, nil) for each model. A worker-pool variant
+//     returns the same set (for PZ, the same signatures) as its serial
+//     counterpart, in nondeterministic order, with worker-count-
+//     invariant NP-oracle charging when unlimited.
 //   - The terminal error is sticky and typed: io.EOF means the
 //     enumeration COMPLETED; ErrLimit means the constructor's limit
 //     was reached; any other error is a budget-class interruption
@@ -122,13 +121,13 @@ func (it *stepIter) Close() error {
 	return nil
 }
 
-// pumpIter adapts a push enumerator (the worker-pool variants) into
-// the iterator contract: one producer goroutine runs the enumerator
-// with a yield that hands models over an unbuffered channel, so the
-// pool never runs ahead of the consumer by more than the workers'
-// in-flight items. Close (or a yield refusal after stop) drains the
-// producer — no goroutine is ever leaked, and a budget trip inside a
-// worker becomes the terminal error rather than a re-raised panic.
+// pumpIter adapts a worker-pool producer into the iterator contract:
+// one producer goroutine runs the pool with a yield that hands models
+// over an unbuffered channel, so the pool never runs ahead of the
+// consumer by more than the workers' in-flight items. Close (or a
+// yield refusal after stop) drains the producer — no goroutine is ever
+// leaked, and a budget trip inside a worker becomes the terminal error
+// rather than a re-raised panic.
 type pumpIter struct {
 	ch    chan logic.Interp
 	stop  chan struct{}
@@ -141,8 +140,8 @@ type pumpIter struct {
 }
 
 // newPumpIter starts the producer. run must invoke yield once per
-// model and respect yield returning false (the enumerators do, via
-// their emitter).
+// model and respect yield returning false (the pools do, via their
+// emitter).
 func newPumpIter(limit int, run func(yield func(logic.Interp) bool)) *pumpIter {
 	p := &pumpIter{
 		ch:    make(chan logic.Interp),
@@ -221,8 +220,8 @@ func (p *pumpIter) Close() error {
 
 // enumSearch is the pull-based core of all-models enumeration: the
 // blocked-clause solver loop of sat.Solver.EnumerateModels unrolled
-// into a step function, with the oracle charged identically to the
-// push path (one call for the solver build, one per model found).
+// into a step function, charging the oracle one call for the solver
+// build and one per model found.
 type enumSearch struct {
 	e     *Engine
 	s     *sat.Solver
@@ -261,31 +260,50 @@ func (es *enumSearch) step() (logic.Interp, bool) {
 	return m, true
 }
 
-// IterateModels returns a pull-based enumeration of every model of the
-// database (the iterator form of EnumerateModels). limit ≤ 0 means
-// unlimited.
+// IterateModels enumerates every model of the database over the
+// original vocabulary. Each model costs one NP call, plus one for the
+// solver build (blocked solver reuse is an implementation detail of
+// the sat package). limit ≤ 0 means unlimited.
 func (e *Engine) IterateModels(limit int) ModelIterator {
 	es := &enumSearch{e: e}
 	return &stepIter{step: es.step, limit: limit}
 }
 
 // IterateModelsPar is IterateModels across the cube-decomposed worker
-// pool (the iterator form of EnumerateModelsPar): same model set,
-// nondeterministic order, worker-count-invariant oracle totals.
+// pool (enumerateModelsPar): same model set, nondeterministic order,
+// worker-count-invariant oracle totals.
 func (e *Engine) IterateModelsPar(limit int, opt ParOptions) ModelIterator {
+	if e.DB.N() == 0 {
+		return e.IterateModels(limit) // no variable to split cubes on
+	}
 	return newPumpIter(limit, func(yield func(logic.Interp) bool) {
-		e.EnumerateModelsPar(limit, yield, opt)
+		e.enumerateModelsPar(limit, opt, yield)
 	})
 }
 
-// IterateMinimalModels returns a pull-based enumeration of MM(DB).
+// IterateMinimalModels enumerates MM(DB), the set of minimal models, by
+// iterative SAT: find a model, minimise it, yield it, then block it by
+// the clause ∨_{a ∈ M} ¬a ("some atom of M must be false"). Every
+// other minimal model satisfies that clause (minimal models are
+// pairwise ⊆-incomparable) and every model violating it is a superset
+// of M, hence non-minimal — so nothing is lost and nothing above M is
+// revisited. For M = ∅ the blocking clause would be empty: ∅ is then
+// the unique minimal model and enumeration stops. limit ≤ 0 means
+// unlimited.
 func (e *Engine) IterateMinimalModels(limit int) ModelIterator {
 	return e.IterateMinimalModelsPZ(FullMin(e.DB.N()), limit)
 }
 
-// IterateMinimalModelsPZ returns a pull-based enumeration of
-// MM(DB;P;Z) — one representative per signature, in the serial
-// signature-blocking order of MinimalModelsPZ.
+// IterateMinimalModelsPZ enumerates MM(DB;P;Z), one representative per
+// (P,Q)-signature. After a (P;Z)-minimal model M it blocks the clause
+// "some atom of M∩P false, or some Q atom differs from M": minimal
+// models with distinct signatures are incomparable under (⊆ on P, = on
+// Q) and so survive; models agreeing with M on Q with P-part ⊇ M∩P
+// are either non-minimal or Z-variants of M's signature. Z-variants
+// (models equal to M on P and Q but different on Z) are themselves
+// (P;Z)-minimal exactly when M is; callers that must reason over them
+// (formula inference) do so via MMEntails, which checks Z-variants
+// with a dedicated SAT call before blocking a signature.
 func (e *Engine) IterateMinimalModelsPZ(part Partition, limit int) ModelIterator {
 	s := &sigSearch{e: e, query: logic.CloneCNF(e.cnf), part: part}
 	return &stepIter{step: s.step, limit: limit}
@@ -298,18 +316,18 @@ func (e *Engine) IterateMinimalModelsPar(limit int, opt ParOptions) ModelIterato
 }
 
 // IterateMinimalModelsPZPar is IterateMinimalModelsPZ across the
-// region-decomposed worker pool: same signature set, nondeterministic
-// order and Z-representatives.
+// region-decomposed worker pool (minimalModelsPZPar): same signature
+// set, nondeterministic order and Z-representatives.
 func (e *Engine) IterateMinimalModelsPZPar(part Partition, limit int, opt ParOptions) ModelIterator {
 	return newPumpIter(limit, func(yield func(logic.Interp) bool) {
-		e.MinimalModelsPZPar(part, limit, yield, opt)
+		e.minimalModelsPZPar(part, limit, opt, yield)
 	})
 }
 
 // Drain pulls it dry, feeding each model to yield, and maps the
-// terminal taxonomy back onto the push contract: io.EOF and ErrLimit
-// (and a yield refusal) are completion (nil error); anything else is
-// the typed interruption cause. Drain closes the iterator.
+// terminal taxonomy onto a completion error: io.EOF and ErrLimit (and
+// a yield refusal) are completion (nil error); anything else is the
+// typed interruption cause. Drain closes the iterator.
 //
 // This is the budget-aware yield boundary of the model engine. The
 // budget lives on the oracle (oracle.NP.WithBudget): every NP call
@@ -317,8 +335,8 @@ func (e *Engine) IterateMinimalModelsPZPar(part Partition, limit int, opt ParOpt
 // resulting budget.Interrupt into their typed terminal. Drain's result
 // follows the three-valued enumeration contract:
 //
-//   - err == nil: the enumeration COMPLETED; the yielded set is
-//     exactly what the unbudgeted push enumerator yields
+//   - err == nil: the enumeration COMPLETED; the yielded sequence is
+//     exactly what the same iterator yields without a budget
 //     (byte-identical — the budget machinery never changes search
 //     order).
 //   - err != nil: the enumeration is INCOMPLETE; err is one of the

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"disjunct/internal/dbtest"
 	"disjunct/internal/logic"
 	"disjunct/internal/oracle"
+	"disjunct/internal/refsem"
 )
 
 // pull drains an iterator via Next(ctx) without Close, returning the
@@ -29,34 +31,34 @@ func pull(t *testing.T, it ModelIterator, ctx context.Context) ([]logic.Interp, 
 	}
 }
 
-// TestIterateModelsMatchesPush: the serial pull enumerator returns the
-// same models in the same order with the same NP-call total as the
-// push path.
-func TestIterateModelsMatchesPush(t *testing.T) {
-	for i, d := range randomDBs(101, 20) {
-		oPush := oracle.NewNP()
-		var want []logic.Interp
-		NewEngine(d, oPush).EnumerateModels(0, func(m logic.Interp) bool {
-			want = append(want, m.Clone())
-			return true
-		})
+// signatures returns the sorted (P,Q)-signature keys of ms, and
+// whether no two models of ms share one.
+func signatures(ms []logic.Interp, part Partition, n int) ([]string, bool) {
+	seen := map[string]bool{}
+	for _, m := range ms {
+		seen[pqKey(m, part, n)] = true
+	}
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys, len(seen) == len(ms)
+}
 
-		oPull := oracle.NewNP()
-		it := NewEngine(d, oPull).IterateModels(0)
+// TestIterateModelsMatchesReference: the serial all-models iterator
+// completes with exactly M(DB), each model once, and stays terminal
+// after Close. Order and NP charging are pinned by
+// TestEnumerationGoldenDigest.
+func TestIterateModelsMatchesReference(t *testing.T) {
+	for i, d := range randomDBs(101, 20) {
+		it := NewEngine(d, nil).IterateModels(0)
 		got, err := pull(t, it, nil)
 		if !errors.Is(err, io.EOF) {
 			t.Fatalf("db %d: terminal %v, want io.EOF", i, err)
 		}
-		if !equalKeys(sortedKeys(got), sortedKeys(want)) || len(got) != len(want) {
-			t.Fatalf("db %d: pull %d models, push %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j].Key() != want[j].Key() {
-				t.Fatalf("db %d: order diverges at %d", i, j)
-			}
-		}
-		if a, b := oPull.Counters().NPCalls, oPush.Counters().NPCalls; a != b {
-			t.Fatalf("db %d: pull NP=%d push NP=%d", i, a, b)
+		if want := refsem.Models(d); !equalKeys(sortedKeys(got), sortedKeys(want)) {
+			t.Fatalf("db %d: %d models, reference %d", i, len(got), len(want))
 		}
 		it.Close()
 		if _, err := it.Next(nil); !errors.Is(err, io.EOF) {
@@ -65,69 +67,72 @@ func TestIterateModelsMatchesPush(t *testing.T) {
 	}
 }
 
-// TestIterateMinimalModelsMatchesPush: serial minimal-model pull vs
-// push — identical order and NP totals.
-func TestIterateMinimalModelsMatchesPush(t *testing.T) {
+// TestIterateMinimalModelsMatchesReference: the serial minimal-model
+// iterators complete with exactly MM(DB), and with one representative
+// of every MM(DB;P;Z) signature for a random partition, each
+// representative itself (P;Z)-minimal.
+func TestIterateMinimalModelsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
 	for i, d := range randomDBs(103, 20) {
-		oPush := oracle.NewNP()
-		var want []logic.Interp
-		NewEngine(d, oPush).MinimalModels(0, func(m logic.Interp) bool {
-			want = append(want, m.Clone())
-			return true
-		})
-
-		oPull := oracle.NewNP()
-		got, err := pull(t, NewEngine(d, oPull).IterateMinimalModels(0), nil)
+		got, err := pull(t, NewEngine(d, nil).IterateMinimalModels(0), nil)
 		if !errors.Is(err, io.EOF) {
 			t.Fatalf("db %d: terminal %v, want io.EOF", i, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("db %d: pull %d minimal models, push %d", i, len(got), len(want))
+		if want := refsem.MinimalModels(d); !equalKeys(sortedKeys(got), sortedKeys(want)) {
+			t.Fatalf("db %d: %d minimal models, reference %d", i, len(got), len(want))
 		}
-		for j := range got {
-			if got[j].Key() != want[j].Key() {
-				t.Fatalf("db %d: order diverges at %d", i, j)
+
+		n := d.N()
+		p, q := randomPartition(rng, n)
+		part := partitionOf(n, p, q)
+		want := refsem.MinimalModelsPZ(d, p, q)
+		got, err = pull(t, NewEngine(d, nil).IterateMinimalModelsPZ(part, 0), nil)
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("db %d PZ: terminal %v, want io.EOF", i, err)
+		}
+		gotSig, distinct := signatures(got, part, n)
+		wantSig, _ := signatures(want, part, n)
+		if !distinct || !equalKeys(gotSig, wantSig) {
+			t.Fatalf("db %d PZ: %d representatives (distinct=%v), reference %d signatures", i, len(got), distinct, len(wantSig))
+		}
+		inRef := keySet(want)
+		for _, m := range got {
+			if !inRef[m.Key()] {
+				t.Fatalf("db %d PZ: representative %s is not (P;Z)-minimal", i, m.Key())
 			}
-		}
-		if a, b := oPull.Counters().NPCalls, oPush.Counters().NPCalls; a != b {
-			t.Fatalf("db %d: pull NP=%d push NP=%d", i, a, b)
 		}
 	}
 }
 
-// TestIterateParMatchesPush: the pump-backed parallel iterators return
-// the same model set and NP totals as their push counterparts, and
-// leak no producer goroutine.
-func TestIterateParMatchesPush(t *testing.T) {
+// TestIterateParMatchesReference: the pump-backed worker-pool
+// iterators complete with M(DB), MM(DB) and the MM(DB;P;Z) signature
+// set, and leak no producer goroutine.
+func TestIterateParMatchesReference(t *testing.T) {
 	base := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(107))
+	opt := ParOptions{Workers: 4}
 	for i, d := range randomDBs(107, 12) {
-		for _, minimal := range []bool{false, true} {
-			oPush := oracle.NewNP()
-			var want []logic.Interp
-			add := func(m logic.Interp) bool { want = append(want, m.Clone()); return true }
-			if minimal {
-				NewEngine(d, oPush).MinimalModelsPar(0, add, ParOptions{Workers: 4})
-			} else {
-				NewEngine(d, oPush).EnumerateModelsPar(0, add, ParOptions{Workers: 4})
-			}
-
-			oPull := oracle.NewNP()
-			var it ModelIterator
-			if minimal {
-				it = NewEngine(d, oPull).IterateMinimalModelsPar(0, ParOptions{Workers: 4})
-			} else {
-				it = NewEngine(d, oPull).IterateModelsPar(0, ParOptions{Workers: 4})
-			}
-			got, err := pull(t, it, nil)
+		n := d.N()
+		p, q := randomPartition(rng, n)
+		part := partitionOf(n, p, q)
+		for _, c := range []struct {
+			name string
+			it   ModelIterator
+			want []logic.Interp
+			key  func([]logic.Interp) []string
+		}{
+			{"models", NewEngine(d, nil).IterateModelsPar(0, opt), refsem.Models(d), sortedKeys},
+			{"minimal", NewEngine(d, nil).IterateMinimalModelsPar(0, opt), refsem.MinimalModels(d), sortedKeys},
+			{"pz", NewEngine(d, nil).IterateMinimalModelsPZPar(part, 0, opt), refsem.MinimalModelsPZ(d, p, q),
+				func(ms []logic.Interp) []string { keys, _ := signatures(ms, part, n); return keys }},
+		} {
+			got, err := pull(t, c.it, nil)
+			c.it.Close()
 			if !errors.Is(err, io.EOF) {
-				t.Fatalf("db %d minimal=%v: terminal %v, want io.EOF", i, minimal, err)
+				t.Fatalf("db %d %s: terminal %v, want io.EOF", i, c.name, err)
 			}
-			it.Close()
-			if !equalKeys(sortedKeys(got), sortedKeys(want)) {
-				t.Fatalf("db %d minimal=%v: pull set %d != push set %d", i, minimal, len(got), len(want))
-			}
-			if a, b := oPull.Counters().NPCalls, oPush.Counters().NPCalls; a != b {
-				t.Fatalf("db %d minimal=%v: pull NP=%d push NP=%d", i, minimal, a, b)
+			if !equalKeys(c.key(got), c.key(c.want)) {
+				t.Fatalf("db %d %s: %d yields, reference %d", i, c.name, len(got), len(c.want))
 			}
 		}
 	}
@@ -165,8 +170,6 @@ func TestIteratorLimit(t *testing.T) {
 // terminal error from Next, not a panic, serial and parallel alike.
 func TestIteratorBudgetTrip(t *testing.T) {
 	base := runtime.NumGoroutine()
-	rng := rand.New(rand.NewSource(211))
-	_ = rng
 	for i, d := range randomDBs(211, 8) {
 		for _, par := range []bool{false, true} {
 			o := oracle.NewNP().WithBudget(budget.New(context.Background(),

@@ -164,71 +164,13 @@ func (e *Engine) MinimizePZ(m logic.Interp, part Partition) logic.Interp {
 	return e.minimizeAgainst(e.cnf, m.Clone(), part)
 }
 
-// EnumerateModels yields every model of the database over the original
-// vocabulary, in no particular order. limit ≤ 0 means unlimited.
-// Each enumerated model costs one NP call (blocked solver reuse is an
-// implementation detail of the sat package; calls are counted per model
-// plus one final unsat call).
-func (e *Engine) EnumerateModels(limit int, yield func(logic.Interp) bool) int {
-	es := &enumSearch{e: e}
-	count := 0
-	for limit <= 0 || count < limit {
-		m, ok := es.step()
-		if !ok {
-			break
-		}
-		count++
-		if !yield(m) {
-			break
-		}
-	}
-	return count
-}
-
-// MinimalModels computes MM(DB), the set of minimal models, by
-// iterative SAT: find a model, minimise it, yield it, then block it by
-// the clause ∨_{a ∈ M} ¬a ("some atom of M must be false"). Every
-// other minimal model satisfies that clause (minimal models are
-// pairwise ⊆-incomparable) and every model violating it is a superset
-// of M, hence non-minimal — so nothing is lost and nothing above M is
-// revisited. For M = ∅ the blocking clause would be empty: ∅ is then
-// the unique minimal model and enumeration stops. limit ≤ 0 means
-// unlimited.
-func (e *Engine) MinimalModels(limit int, yield func(logic.Interp) bool) int {
-	return e.MinimalModelsPZ(FullMin(e.DB.N()), limit, yield)
-}
-
-// MinimalModelsPZ computes MM(DB;P;Z), yielding one representative per
-// (P,Q)-signature. After yielding a (P;Z)-minimal model M it blocks
-// the clause "some atom of M∩P false, or some Q atom differs from M":
-// minimal models with distinct signatures are incomparable under
-// (⊆ on P, = on Q) and so survive; models agreeing with M on Q with
-// P-part ⊇ M∩P are either non-minimal or Z-variants of M's signature.
-// Z-variants (models equal to M on P and Q but different on Z) are
-// themselves (P;Z)-minimal exactly when M is; callers that must reason
-// over them (formula inference) do so via MMEntails, which checks
-// Z-variants with a dedicated SAT call before blocking a signature.
-func (e *Engine) MinimalModelsPZ(part Partition, limit int, yield func(logic.Interp) bool) int {
-	count := 0
-	e.minimalSignatures(logic.CloneCNF(e.cnf), part, func(min logic.Interp) bool {
-		count++
-		if !yield(min) {
-			return false
-		}
-		return limit <= 0 || count < limit
-	})
-	return count
-}
-
-// sigSearch is the signature-blocking search over an arbitrary base
-// clause set (the database CNF possibly strengthened by unit
-// constraints — the parallel enumerator's region queries — or
-// previously published blocking clauses), unrolled into a pull-based
-// step function. Each step finds one base-(P;Z)-minimal signature and
-// installs its blocking clause before returning, so the oracle-call
-// sequence is identical whether the caller continues or stops (the
-// clause only influences later steps). The base is appended to in
-// place.
+// sigSearch is the signature-blocking search over a base clause set
+// (the database CNF, or a worker-pool region's query: the CNF
+// strengthened by unit constraints) as a pull-based step function.
+// Each step finds one base-(P;Z)-minimal signature and installs its
+// blocking clause before returning, so the oracle-call sequence is
+// identical whether the caller continues or stops (the clause only
+// influences later steps). The base is appended to in place.
 type sigSearch struct {
 	e     *Engine
 	query logic.CNF
@@ -256,18 +198,6 @@ func (s *sigSearch) step() (logic.Interp, bool) {
 		s.query = append(s.query, block)
 	}
 	return min, true
-}
-
-// minimalSignatures is the push adapter over sigSearch, invoking visit
-// once per signature found; visit returning false stops the search.
-func (e *Engine) minimalSignatures(query logic.CNF, part Partition, visit func(logic.Interp) bool) {
-	s := &sigSearch{e: e, query: query, part: part}
-	for {
-		min, ok := s.step()
-		if !ok || !visit(min) {
-			return
-		}
-	}
 }
 
 // signatureBlock returns the clause excluding the (⊆ on P, = on Q)

@@ -14,14 +14,17 @@ import (
 	"disjunct/internal/refsem"
 )
 
-func collectMinimal(e *Engine) []logic.Interp {
+// collect drains it and returns a clone of every model it yields.
+func collect(it ModelIterator) []logic.Interp {
 	var out []logic.Interp
-	e.MinimalModels(0, func(m logic.Interp) bool {
+	Drain(it, func(m logic.Interp) bool {
 		out = append(out, m.Clone())
 		return true
 	})
 	return out
 }
+
+func collectMinimal(e *Engine) []logic.Interp { return collect(e.IterateMinimalModels(0)) }
 
 func TestMinimalModelsSimple(t *testing.T) {
 	d := dbtest.MustParse("a | b.")
@@ -81,14 +84,13 @@ func TestMinimalModelsPZMatchReference(t *testing.T) {
 		want := refsem.MinimalModelsPZ(d, p, q)
 		var got []logic.Interp
 		eng := NewEngine(d, nil)
-		// MinimalModelsPZ yields one representative per signature;
-		// reconstruct the full set by filtering all models.
-		eng.EnumerateModels(0, func(m logic.Interp) bool {
+		// IterateMinimalModelsPZ yields one representative per
+		// signature; reconstruct the full set by filtering all models.
+		for _, m := range collect(eng.IterateModels(0)) {
 			if eng.IsMinimalPZ(m, part) {
-				got = append(got, m.Clone())
+				got = append(got, m)
 			}
-			return true
-		})
+		}
 		if !refsem.SameModelSet(want, got) {
 			t.Fatalf("iter %d: MM(P;Z) mismatch\nDB:\n%swant %d, got %d", iter, d.String(), len(want), len(got))
 		}
@@ -254,8 +256,8 @@ func TestEnumerateModelsCount(t *testing.T) {
 	for iter := 0; iter < 150; iter++ {
 		d := gen.Random(rng, gen.WithIntegrity(2+rng.Intn(4), 1+rng.Intn(6)))
 		want := len(refsem.Models(d))
-		got := NewEngine(d, nil).EnumerateModels(0, func(logic.Interp) bool { return true })
-		if got != want {
+		got, err := Drain(NewEngine(d, nil).IterateModels(0), func(logic.Interp) bool { return true })
+		if err != nil || got != want {
 			t.Fatalf("iter %d: enumerated %d models, reference %d\nDB:\n%s", iter, got, want, d.String())
 		}
 	}
@@ -300,7 +302,7 @@ func TestQuickMinimalModelsSound(t *testing.T) {
 		d := gen.Random(rng, gen.WithIntegrity(2+rng.Intn(4), 1+rng.Intn(6)))
 		all := refsem.Models(d)
 		ok := true
-		NewEngine(d, nil).MinimalModels(0, func(m logic.Interp) bool {
+		Drain(NewEngine(d, nil).IterateMinimalModels(0), func(m logic.Interp) bool {
 			if !d.Sat(m) {
 				ok = false
 				return false

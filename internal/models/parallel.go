@@ -9,12 +9,13 @@ import (
 	"disjunct/internal/sat"
 )
 
-// This file is the worker-pool layer of the minimal-model engine. The
-// parallel enumerators decompose the search space STATICALLY — into
-// regions (minimal models) or cubes (all models) — so that each piece
-// performs the same NP-oracle queries regardless of how many workers
-// run it or in which order. Consequence: with Share disabled and no
-// limit/early-stop, the total oracle-call count is a function of the
+// This file is the worker-pool layer of the model engine: the
+// producers behind IterateModelsPar and IterateMinimalModelsPZPar,
+// driven only by pumpIter. They decompose the search space STATICALLY
+// — into regions (minimal models) or cubes (all models) — so that each
+// piece performs the same NP-oracle queries regardless of how many
+// workers run it or in which order. Consequence: with no limit or
+// early stop, the total oracle-call count is a function of the
 // database alone, identical for 1 worker and NumCPU workers — the
 // complexity-shape evidence the bench harness reports stays exact
 // while wall-clock drops. bench.RunParallel asserts this.
@@ -33,43 +34,10 @@ import (
 // cone never hides a globally minimal signature: anything strictly
 // inside the cone has a region model strictly below it on P.
 
-// ParOptions configures the parallel enumerators.
+// ParOptions configures the worker-pool iterators.
 type ParOptions struct {
 	// Workers is the goroutine count; ≤ 0 means runtime.NumCPU().
 	Workers int
-	// Share lets regions seed their query with the blocking clauses
-	// other workers have already published (the mutex-guarded store),
-	// pruning territory opportunistically. Sound — published cones
-	// contain no unreported minimal signature — but the pruning a
-	// region receives depends on timing, so oracle-call counts are no
-	// longer run-to-run reproducible. Leave it off when counts are the
-	// point (the bench harness does); turn it on when wall-clock is.
-	Share bool
-}
-
-// blockStore is the mutex-guarded store of globally valid blocking
-// clauses learned by the workers. Every yielded signature's cone
-// clause is published; regions consume a snapshot only when
-// ParOptions.Share is set.
-type blockStore struct {
-	mu      sync.Mutex
-	clauses []logic.Clause
-}
-
-func (b *blockStore) publish(cl logic.Clause) {
-	if len(cl) == 0 {
-		return
-	}
-	b.mu.Lock()
-	b.clauses = append(b.clauses, cl)
-	b.mu.Unlock()
-}
-
-func (b *blockStore) snapshot() []logic.Clause {
-	b.mu.Lock()
-	out := b.clauses[:len(b.clauses):len(b.clauses)]
-	b.mu.Unlock()
-	return out
 }
 
 // emitter serialises yields from concurrent workers and implements
@@ -113,24 +81,15 @@ func (em *emitter) halt() {
 	em.mu.Unlock()
 }
 
-// MinimalModelsPar is MinimalModels across a worker pool: same model
-// set (minimal models ARE their signatures under full minimisation),
-// deterministic oracle-call count for any worker count when limit ≤ 0
-// and Share is off. Yields arrive in nondeterministic order.
-func (e *Engine) MinimalModelsPar(limit int, yield func(logic.Interp) bool, opt ParOptions) int {
-	return e.MinimalModelsPZPar(FullMin(e.DB.N()), limit, yield, opt)
-}
-
-// MinimalModelsPZPar computes MM(DB;P;Z) — one representative per
-// (P,Q)-signature, like MinimalModelsPZ — with region-decomposed
+// minimalModelsPZPar computes MM(DB;P;Z) — one representative per
+// (P,Q)-signature, like IterateMinimalModelsPZ — with region-decomposed
 // worker-pool search. The signature set is identical to the serial
 // enumerator's; representatives may differ on Z atoms (any Z-variant
-// is as (P;Z)-minimal as another).
-func (e *Engine) MinimalModelsPZPar(part Partition, limit int, yield func(logic.Interp) bool, opt ParOptions) int {
-	n := e.DB.N()
+// is as (P;Z)-minimal as another). Under full minimisation the minimal
+// models ARE their signatures, so the model set is MM(DB) exactly.
+func (e *Engine) minimalModelsPZPar(part Partition, limit int, opt ParOptions, yield func(logic.Interp) bool) {
 	pAtoms := part.P.Elements()
 	em := &emitter{yield: yield, limit: limit}
-	store := &blockStore{}
 
 	runRegion := func(i int) {
 		if em.done() {
@@ -150,48 +109,38 @@ func (e *Engine) MinimalModelsPZPar(part Partition, limit int, yield func(logic.
 		if i < len(pAtoms) {
 			query = append(query, logic.Clause{logic.PosLit(logic.Atom(pAtoms[i]))})
 		}
-		if opt.Share {
-			query = append(query, store.snapshot()...)
-		}
-		e.minimalSignatures(query, part, func(min logic.Interp) bool {
-			if em.done() {
-				return false
+		s := &sigSearch{e: e, query: query, part: part}
+		for {
+			m, ok := s.step()
+			if !ok || em.done() {
+				return
 			}
 			// Region-minimal; globally minimal? One NP call.
-			if !e.IsMinimalPZ(min, part) {
-				return true
+			if e.IsMinimalPZ(m, part) && !em.emit(m) {
+				return
 			}
-			store.publish(signatureBlock(min, part, n))
-			return em.emit(min)
-		})
+		}
 	}
 
 	par.ForEach(opt.Workers, len(pAtoms)+1, runRegion)
-	return em.count
 }
 
-// enumCubeBits is the static cube width of EnumerateModelsPar: the
+// enumCubeBits is the static cube width of enumerateModelsPar: the
 // model space splits on the first min(n, enumCubeBits) variables into
 // up to 2^enumCubeBits disjoint cubes. Fixed (not worker-derived) so
 // the oracle-call count never depends on the machine's core count.
 const enumCubeBits = 6
 
-// EnumerateModelsPar yields every model of the database across a
-// worker pool, one cube of the (statically split) assignment space per
-// work item. Model set matches EnumerateModels exactly; the call count
-// is deterministic for any worker count when limit ≤ 0 (one SatSolver
-// build per cube plus one CountCall per model, against the serial
-// path's single build — wall-clock, not the count shape, is what
-// changes). Yield order is nondeterministic.
-func (e *Engine) EnumerateModelsPar(limit int, yield func(logic.Interp) bool, opt ParOptions) int {
+// enumerateModelsPar yields every model of the database (n ≥ 1 atoms)
+// across a worker pool, one cube of the (statically split) assignment
+// space per work item. Model set matches IterateModels exactly; the
+// call count is deterministic for any worker count when limit ≤ 0 (one
+// SatSolver build per cube plus one CountCall per model, against the
+// serial path's single build — wall-clock, not the count shape, is
+// what changes). Yield order is nondeterministic.
+func (e *Engine) enumerateModelsPar(limit int, opt ParOptions, yield func(logic.Interp) bool) {
 	n := e.DB.N()
-	k := enumCubeBits
-	if k > n {
-		k = n
-	}
-	if k == 0 {
-		return e.EnumerateModels(limit, yield)
-	}
+	k := min(n, enumCubeBits)
 	em := &emitter{yield: yield, limit: limit}
 
 	runCube := func(c int) {
@@ -222,5 +171,4 @@ func (e *Engine) EnumerateModelsPar(limit int, yield func(logic.Interp) bool, op
 	}
 
 	par.ForEach(opt.Workers, 1<<k, runCube)
-	return em.count
 }

@@ -21,22 +21,19 @@ func benchDBs() map[string]*db.DB {
 	}
 }
 
-func benchMinimalModels(b *testing.B, run func(e *Engine) int) {
+func benchMinimalModels(b *testing.B, iterate func(e *Engine) ModelIterator) {
 	for name, d := range benchDBs() {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := NewEngine(d, nil)
-				run(e)
+				Drain(iterate(NewEngine(d, nil)), func(logic.Interp) bool { return true })
 			}
 		})
 	}
 }
 
 func BenchmarkMinimalModelsSerial(b *testing.B) {
-	benchMinimalModels(b, func(e *Engine) int {
-		return e.MinimalModels(0, func(logic.Interp) bool { return true })
-	})
+	benchMinimalModels(b, func(e *Engine) ModelIterator { return e.IterateMinimalModels(0) })
 }
 
 func BenchmarkMinimalModelsPar(b *testing.B) {
@@ -46,9 +43,8 @@ func BenchmarkMinimalModelsPar(b *testing.B) {
 			name = "workers=NumCPU"
 		}
 		b.Run(name, func(b *testing.B) {
-			benchMinimalModels(b, func(e *Engine) int {
-				return e.MinimalModelsPar(0, func(logic.Interp) bool { return true },
-					ParOptions{Workers: workers})
+			benchMinimalModels(b, func(e *Engine) ModelIterator {
+				return e.IterateMinimalModelsPar(0, ParOptions{Workers: workers})
 			})
 		})
 	}
@@ -64,9 +60,8 @@ func BenchmarkEnumerateModelsPar(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := NewEngine(d, nil)
-				e.EnumerateModelsPar(0, func(logic.Interp) bool { return true },
-					ParOptions{Workers: workers})
+				it := NewEngine(d, nil).IterateModelsPar(0, ParOptions{Workers: workers})
+				Drain(it, func(logic.Interp) bool { return true })
 			}
 		})
 	}

@@ -23,15 +23,6 @@ func keySet(yields []logic.Interp) map[string]bool {
 	return out
 }
 
-func collectPar(e *Engine, opt ParOptions) []logic.Interp {
-	var out []logic.Interp
-	e.MinimalModelsPar(0, func(m logic.Interp) bool {
-		out = append(out, m.Clone())
-		return true
-	}, opt)
-	return out
-}
-
 func randomDBs(seed int64, count int) []*db.DB {
 	rng := rand.New(rand.NewSource(seed))
 	var dbs []*db.DB
@@ -51,10 +42,8 @@ func randomDBs(seed int64, count int) []*db.DB {
 func TestMinimalModelsParMatchesSerial(t *testing.T) {
 	for i, d := range randomDBs(7, 30) {
 		serial := keySet(collectMinimal(NewEngine(d, nil)))
-		for _, opt := range []ParOptions{
-			{Workers: 1}, {Workers: 4}, {Workers: 4, Share: true}, {Workers: 0},
-		} {
-			got := keySet(collectPar(NewEngine(d, nil), opt))
+		for _, opt := range []ParOptions{{Workers: 1}, {Workers: 4}, {Workers: 0}} {
+			got := keySet(collect(NewEngine(d, nil).IterateMinimalModelsPar(0, opt)))
 			if len(got) != len(serial) {
 				t.Fatalf("db %d opt %+v: %d minimal models, serial %d", i, opt, len(got), len(serial))
 			}
@@ -68,15 +57,14 @@ func TestMinimalModelsParMatchesSerial(t *testing.T) {
 }
 
 // TestMinimalModelsParCountDeterministic asserts the complexity-shape
-// invariant: with Share off and no limit, the NP-call total of the
-// parallel enumerator does not depend on the worker count.
+// invariant: with no limit, the NP-call total of the parallel
+// enumerator does not depend on the worker count.
 func TestMinimalModelsParCountDeterministic(t *testing.T) {
 	for i, d := range randomDBs(11, 20) {
 		var want oracle.Counters
 		for wi, workers := range []int{1, 2, 4, 8} {
 			o := oracle.NewNP()
-			e := NewEngine(d, o)
-			e.MinimalModelsPar(0, func(logic.Interp) bool { return true }, ParOptions{Workers: workers})
+			collect(NewEngine(d, o).IterateMinimalModelsPar(0, ParOptions{Workers: workers}))
 			got := o.Counters()
 			got.SATConfl = 0 // conflicts are a solver statistic, not part of the call-count shape
 			if wi == 0 {
@@ -115,16 +103,14 @@ func TestMinimalModelsPZParSignaturesMatchSerial(t *testing.T) {
 		part := NewPartition(n, p, z)
 
 		serial := map[string]bool{}
-		NewEngine(d, nil).MinimalModelsPZ(part, 0, func(m logic.Interp) bool {
+		for _, m := range collect(NewEngine(d, nil).IterateMinimalModelsPZ(part, 0)) {
 			serial[pqKey(m, part, n)] = true
-			return true
-		})
-		for _, opt := range []ParOptions{{Workers: 1}, {Workers: 4}, {Workers: 4, Share: true}} {
+		}
+		for _, opt := range []ParOptions{{Workers: 1}, {Workers: 4}} {
 			got := map[string]bool{}
-			NewEngine(d, nil).MinimalModelsPZPar(part, 0, func(m logic.Interp) bool {
+			for _, m := range collect(NewEngine(d, nil).IterateMinimalModelsPZPar(part, 0, opt)) {
 				got[pqKey(m, part, n)] = true
-				return true
-			}, opt)
+			}
 			if len(got) != len(serial) {
 				t.Fatalf("db %d opt %+v: %d signatures, serial %d", i, opt, len(got), len(serial))
 			}
@@ -139,17 +125,9 @@ func TestMinimalModelsPZParSignaturesMatchSerial(t *testing.T) {
 
 func TestEnumerateModelsParMatchesSerial(t *testing.T) {
 	for i, d := range randomDBs(31, 20) {
-		var serial []logic.Interp
-		NewEngine(d, nil).EnumerateModels(0, func(m logic.Interp) bool {
-			serial = append(serial, m.Clone())
-			return true
-		})
+		serial := collect(NewEngine(d, nil).IterateModels(0))
 		for _, workers := range []int{1, 4, 0} {
-			var got []logic.Interp
-			NewEngine(d, nil).EnumerateModelsPar(0, func(m logic.Interp) bool {
-				got = append(got, m.Clone())
-				return true
-			}, ParOptions{Workers: workers})
+			got := collect(NewEngine(d, nil).IterateModelsPar(0, ParOptions{Workers: workers}))
 			sk, gk := keySet(serial), keySet(got)
 			if len(got) != len(serial) || len(gk) != len(sk) {
 				t.Fatalf("db %d workers=%d: %d models (%d distinct), serial %d (%d)",
@@ -169,8 +147,7 @@ func TestEnumerateModelsParCountDeterministic(t *testing.T) {
 		var want int64
 		for wi, workers := range []int{1, 3, 8} {
 			o := oracle.NewNP()
-			NewEngine(d, o).EnumerateModelsPar(0, func(logic.Interp) bool { return true },
-				ParOptions{Workers: workers})
+			collect(NewEngine(d, o).IterateModelsPar(0, ParOptions{Workers: workers}))
 			if np := o.Counters().NPCalls; wi == 0 {
 				want = np
 			} else if np != want {
@@ -182,17 +159,16 @@ func TestEnumerateModelsParCountDeterministic(t *testing.T) {
 
 func TestParallelLimitAndEarlyStop(t *testing.T) {
 	d := dbtest.MustParse("a | b. c | d. e | f.")
-	e := NewEngine(d, nil)
-	count := e.MinimalModelsPar(3, func(logic.Interp) bool { return true }, ParOptions{Workers: 4})
-	if count != 3 {
-		t.Fatalf("limit=3 yielded %d", count)
+	count, err := Drain(NewEngine(d, nil).IterateMinimalModelsPar(3, ParOptions{Workers: 4}),
+		func(logic.Interp) bool { return true })
+	if err != nil || count != 3 {
+		t.Fatalf("limit=3 yielded %d (err %v)", count, err)
 	}
 	seen := 0
-	e2 := NewEngine(d, nil)
-	e2.EnumerateModelsPar(0, func(logic.Interp) bool {
+	Drain(NewEngine(d, nil).IterateModelsPar(0, ParOptions{Workers: 4}), func(logic.Interp) bool {
 		seen++
 		return seen < 2 // abort from the callback
-	}, ParOptions{Workers: 4})
+	})
 	if seen != 2 {
 		t.Fatalf("early stop saw %d yields, want 2", seen)
 	}
@@ -202,17 +178,15 @@ func TestParallelLimitAndEarlyStop(t *testing.T) {
 // yield: a model of the database with no strictly smaller model.
 func TestParallelYieldsAreMinimalModels(t *testing.T) {
 	for i, d := range randomDBs(59, 15) {
-		e := NewEngine(d, nil)
 		check := NewEngine(d, oracle.NewNP())
 		var bad []string
-		e.MinimalModelsPar(0, func(m logic.Interp) bool {
+		for _, m := range collect(NewEngine(d, nil).IterateMinimalModelsPar(0, ParOptions{Workers: 4})) {
 			if !d.Sat(m) {
 				bad = append(bad, fmt.Sprintf("non-model %s", m.Key()))
 			} else if !check.IsMinimal(m) {
 				bad = append(bad, fmt.Sprintf("non-minimal %s", m.Key()))
 			}
-			return true
-		}, ParOptions{Workers: 4})
+		}
 		sort.Strings(bad)
 		if len(bad) > 0 {
 			t.Fatalf("db %d: %v", i, bad)

@@ -32,22 +32,22 @@ type variant struct {
 func allVariants() []variant {
 	opt := ParOptions{Workers: 4}
 	return []variant{
-		{"EnumerateModels", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
+		{"IterateModels", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
 			return Drain(e.IterateModels(limit), y)
 		}},
-		{"MinimalModels", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
+		{"IterateMinimalModels", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
 			return Drain(e.IterateMinimalModels(limit), y)
 		}},
-		{"MinimalModelsPZ", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
+		{"IterateMinimalModelsPZ", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
 			return Drain(e.IterateMinimalModelsPZ(FullMin(e.DB.N()), limit), y)
 		}},
-		{"EnumerateModelsPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
+		{"IterateModelsPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
 			return Drain(e.IterateModelsPar(limit, opt), y)
 		}},
-		{"MinimalModelsPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
+		{"IterateMinimalModelsPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
 			return Drain(e.IterateMinimalModelsPar(limit, opt), y)
 		}},
-		{"MinimalModelsPZPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
+		{"IterateMinimalModelsPZPar", func(e *Engine, limit int, y func(logic.Interp) bool) (int, error) {
 			return Drain(e.IterateMinimalModelsPZPar(FullMin(e.DB.N()), limit, opt), y)
 		}},
 	}

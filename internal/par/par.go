@@ -83,12 +83,3 @@ func ForEach(workers, n int, fn func(i int)) {
 		panic(*p)
 	}
 }
-
-// MapBool runs fn(i) for every i in [0, n) across workers goroutines
-// and returns the results as a slice — the common "filter a batch of
-// candidates with one oracle call each" shape.
-func MapBool(workers, n int, fn func(i int) bool) []bool {
-	out := make([]bool, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}

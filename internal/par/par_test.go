@@ -37,15 +37,6 @@ func TestForEachEmpty(t *testing.T) {
 	ForEach(4, -1, func(int) { t.Fatal("fn called for n<0") })
 }
 
-func TestMapBool(t *testing.T) {
-	got := MapBool(4, 10, func(i int) bool { return i%3 == 0 })
-	for i, b := range got {
-		if b != (i%3 == 0) {
-			t.Fatalf("MapBool[%d] = %v", i, b)
-		}
-	}
-}
-
 func TestForEachPropagatesPanic(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -22,7 +22,6 @@ import (
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
-	"disjunct/internal/par"
 )
 
 func init() {
@@ -70,26 +69,6 @@ func (s *Sem) NegatedAtoms(d *db.DB) []logic.Atom {
 		}
 		if eng.AtomFalseInAllMinimal(logic.Atom(v), part) {
 			out = append(out, logic.Atom(v))
-		}
-	}
-	return out
-}
-
-// NegatedAtomsPar is NegatedAtoms with the per-atom minimal-model
-// entailment queries fanned out across a worker pool. Each atom's
-// co-search is independent of the others, so the oracle-call total
-// equals the serial method's exactly, for any worker count; the
-// returned atoms are in ascending order either way.
-func (s *Sem) NegatedAtomsPar(d *db.DB, opt models.ParOptions) []logic.Atom {
-	eng, part := s.engine(d)
-	atoms := part.P.Elements()
-	falsified := par.MapBool(opt.Workers, len(atoms), func(i int) bool {
-		return eng.AtomFalseInAllMinimal(logic.Atom(atoms[i]), part)
-	})
-	var out []logic.Atom
-	for i, f := range falsified {
-		if f {
-			out = append(out, logic.Atom(atoms[i]))
 		}
 	}
 	return out

@@ -53,7 +53,7 @@ func TestPaperPartitionExample(t *testing.T) {
 	part := models.NewPartition(3, []logic.Atom{a}, []logic.Atom{c})
 	eng := models.NewEngine(d, nil)
 	var got []logic.Interp
-	eng.EnumerateModels(0, func(m logic.Interp) bool {
+	models.Drain(eng.IterateModels(0), func(m logic.Interp) bool {
 		if eng.IsMinimalPZ(m, part) {
 			got = append(got, m.Clone())
 		}

@@ -22,9 +22,7 @@ import (
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
-	"disjunct/internal/models"
 	"disjunct/internal/oracle"
-	"disjunct/internal/par"
 )
 
 func init() {
@@ -66,28 +64,6 @@ func (s *Sem) NegatedAtoms(d *db.DB) []logic.Atom {
 		query = append(query, logic.Clause{logic.NegLit(logic.Atom(v))})
 		if sat, _ := s.opts.Oracle.Sat(n, query); sat {
 			out = append(out, logic.Atom(v)) // a model without x exists
-		}
-	}
-	return out
-}
-
-// NegatedAtomsPar is NegatedAtoms with the per-atom NP calls spread
-// over a worker pool. The queries are independent, so the oracle-call
-// total matches the serial method for any worker count, and the atoms
-// come back in ascending order.
-func (s *Sem) NegatedAtomsPar(d *db.DB, opt models.ParOptions) []logic.Atom {
-	cnf := d.ToCNF()
-	n := d.N()
-	open := par.MapBool(opt.Workers, n, func(v int) bool {
-		query := logic.CloneCNF(cnf)
-		query = append(query, logic.Clause{logic.NegLit(logic.Atom(v))})
-		sat, _ := s.opts.Oracle.Sat(n, query)
-		return sat // a model without v exists: v is not entailed
-	})
-	var out []logic.Atom
-	for v, o := range open {
-		if o {
-			out = append(out, logic.Atom(v))
 		}
 	}
 	return out

@@ -26,7 +26,6 @@ import (
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
-	"disjunct/internal/par"
 )
 
 func init() {
@@ -73,9 +72,11 @@ func (s *Sem) IsStable(d *db.DB, m logic.Interp) bool {
 // stability check. (DSM(DB) ⊆ MM(DB), so enumerating minimal models
 // loses nothing.)
 func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count int, err error) {
+	// Drain returns a trip inside the enumeration; Recover catches
+	// one inside the per-model check that the yield runs.
 	defer budget.Recover(&err)
 	eng := models.NewEngine(d, s.opts.Oracle)
-	eng.MinimalModels(0, func(m logic.Interp) bool {
+	_, err = models.Drain(eng.IterateMinimalModels(0), func(m logic.Interp) bool {
 		if !s.IsStable(d, m) {
 			return true
 		}
@@ -85,38 +86,7 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 		}
 		return limit <= 0 || count < limit
 	})
-	return count, nil
-}
-
-// ModelsPar is Models in two parallel phases: minimal-model candidates
-// from the region-decomposed worker pool, then the one-NP-call
-// stability checks (reduct + minimality) run concurrently over the
-// collected candidates. Same queries as the serial route — one
-// stability check per minimal model — so the oracle-call total is
-// worker-count-invariant; with limit > 0 candidate collection still
-// runs to completion before filtering. Yield order is
-// nondeterministic.
-func (s *Sem) ModelsPar(d *db.DB, limit int, yield func(logic.Interp) bool, opt models.ParOptions) (count int, err error) {
-	defer budget.Recover(&err)
-	eng := models.NewEngine(d, s.opts.Oracle)
-	var cands []logic.Interp
-	eng.MinimalModelsPar(0, func(m logic.Interp) bool {
-		cands = append(cands, m) // emitter serialises this callback
-		return true
-	}, opt)
-	stable := par.MapBool(opt.Workers, len(cands), func(i int) bool {
-		return s.IsStable(d, cands[i])
-	})
-	for i, ok := range stable {
-		if !ok {
-			continue
-		}
-		count++
-		if !yield(cands[i]) || (limit > 0 && count >= limit) {
-			break
-		}
-	}
-	return count, nil
+	return count, err
 }
 
 // HasModel decides DSM(DB) ≠ ∅ — the Σ₂ᵖ-complete cell of Table 2:

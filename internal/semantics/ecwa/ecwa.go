@@ -87,10 +87,12 @@ func (s *Sem) HasModel(d *db.DB) (ok bool, err error) {
 // enumerating all models and filtering by the one-NP-call minimality
 // check. Exponential in general; intended for small databases.
 func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count int, err error) {
+	// Drain returns a trip inside the enumeration; Recover catches
+	// one inside the per-model check that the yield runs.
 	defer budget.Recover(&err)
 	eng := models.NewEngine(d, s.opts.Oracle)
 	part := s.opts.PartitionFor(d)
-	eng.EnumerateModels(0, func(m logic.Interp) bool {
+	_, err = models.Drain(eng.IterateModels(0), func(m logic.Interp) bool {
 		if !eng.IsMinimalPZ(m, part) {
 			return true
 		}
@@ -100,31 +102,7 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 		}
 		return limit <= 0 || count < limit
 	})
-	return count, nil
-}
-
-// ModelsPar is Models with the model search decomposed into static
-// cubes across a worker pool (Engine.EnumerateModelsPar); each
-// candidate still pays its one-NP-call minimality check, applied under
-// the emitter lock so yields never run concurrently. The model set
-// matches Models exactly and — since every model is checked exactly
-// once — the oracle-call total is worker-count-invariant when
-// limit ≤ 0. Yield order is nondeterministic.
-func (s *Sem) ModelsPar(d *db.DB, limit int, yield func(logic.Interp) bool, opt models.ParOptions) (count int, err error) {
-	defer budget.Recover(&err)
-	eng := models.NewEngine(d, s.opts.Oracle)
-	part := s.opts.PartitionFor(d)
-	eng.EnumerateModelsPar(0, func(m logic.Interp) bool {
-		if !eng.IsMinimalPZ(m, part) {
-			return true
-		}
-		count++
-		if !yield(m) {
-			return false
-		}
-		return limit <= 0 || count < limit
-	}, opt)
-	return count, nil
+	return count, err
 }
 
 // CheckModel reports whether m ∈ MM(DB;P;Z): one model evaluation plus

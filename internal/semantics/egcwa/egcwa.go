@@ -15,11 +15,9 @@
 package egcwa
 
 import (
-	"disjunct/internal/budget"
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
-	"disjunct/internal/models"
 	"disjunct/internal/oracle"
 	"disjunct/internal/semantics/ecwa"
 )
@@ -69,21 +67,6 @@ func (s *Sem) HasModel(d *db.DB) (bool, error) { return s.inner.HasModel(d) }
 // Models enumerates the minimal models MM(DB).
 func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (int, error) {
 	return s.inner.Models(d, limit, yield)
-}
-
-// ModelsPar enumerates MM(DB) with the region-decomposed worker-pool
-// search (Engine.MinimalModelsPar) instead of the inner ECWA
-// filter-all-models route — under full minimisation the minimal models
-// ARE their signatures, so the set is identical while the search only
-// ever visits minimal territory. Yield order is nondeterministic.
-func (s *Sem) ModelsPar(d *db.DB, limit int, yield func(logic.Interp) bool, opt models.ParOptions) (count int, err error) {
-	defer budget.Recover(&err)
-	eng := models.NewEngine(d, s.Oracle())
-	eng.MinimalModelsPar(limit, func(m logic.Interp) bool {
-		count++
-		return yield(m)
-	}, opt)
-	return count, nil
 }
 
 // CheckModel reports whether m is a minimal model of d.

@@ -18,7 +18,6 @@ import (
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
-	"disjunct/internal/models"
 	"disjunct/internal/oracle"
 	"disjunct/internal/semantics/ccwa"
 )
@@ -54,12 +53,6 @@ func (s *Sem) Oracle() *oracle.NP { return s.inner.Oracle() }
 
 // NegatedAtoms returns {x : MM(DB) ⊨ ¬x}, the literals GCWA adds.
 func (s *Sem) NegatedAtoms(d *db.DB) []logic.Atom { return s.inner.NegatedAtoms(d) }
-
-// NegatedAtomsPar is NegatedAtoms across a worker pool (one
-// Π₂ᵖ-shaped co-search per atom, same oracle-call total as serial).
-func (s *Sem) NegatedAtomsPar(d *db.DB, opt models.ParOptions) []logic.Atom {
-	return s.inner.NegatedAtomsPar(d, opt)
-}
 
 // InferLiteral decides GCWA(DB) ⊨ l. For negative literals this is the
 // Π₂ᵖ-complete minimal-model entailment MM(DB) ⊨ ¬x of Theorem 3.1.

@@ -243,13 +243,15 @@ func (s *Sem) InferLiteral(d *db.DB, l logic.Lit) (bool, error) {
 // head-shifted database through the per-stratum minimality checks.
 // Exponential; intended for small databases.
 func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count int, err error) {
+	// Drain returns a trip inside the enumeration; Recover catches
+	// one inside the per-model check that the yield runs.
 	defer budget.Recover(&err)
 	shifted, parts, err := s.prep(d)
 	if err != nil {
 		return 0, err
 	}
 	eng := models.NewEngine(shifted, s.opts.Oracle)
-	eng.EnumerateModels(0, func(m logic.Interp) bool {
+	_, err = models.Drain(eng.IterateModels(0), func(m logic.Interp) bool {
 		for _, p := range parts {
 			if !eng.IsMinimalPZ(m, p) {
 				return true
@@ -261,7 +263,7 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 		}
 		return limit <= 0 || count < limit
 	})
-	return count, nil
+	return count, err
 }
 
 // CheckModel reports whether m ∈ ICWA(DB) (r NP-oracle calls, one per

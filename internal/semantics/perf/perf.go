@@ -24,7 +24,6 @@ import (
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
-	"disjunct/internal/par"
 	"disjunct/internal/strat"
 )
 
@@ -107,13 +106,15 @@ func (s *Sem) IsPerfect(d *db.DB, m logic.Interp, pri *strat.Priority) bool {
 // Models enumerates PERF(DB). Perfect models are minimal, so the
 // candidates are MM(DB), each checked with one NP call.
 func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count int, err error) {
+	// Drain returns a trip inside the enumeration; Recover catches
+	// one inside the per-model check that the yield runs.
 	defer budget.Recover(&err)
 	if err := s.check(d); err != nil {
 		return 0, err
 	}
 	pri := strat.NewPriority(d)
 	eng := models.NewEngine(d, s.opts.Oracle)
-	eng.MinimalModels(0, func(m logic.Interp) bool {
+	_, err = models.Drain(eng.IterateMinimalModels(0), func(m logic.Interp) bool {
 		if !s.IsPerfect(d, m, pri) {
 			return true
 		}
@@ -123,42 +124,7 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 		}
 		return limit <= 0 || count < limit
 	})
-	return count, nil
-}
-
-// ModelsPar is Models in two parallel phases: the minimal-model
-// candidates are enumerated with the region-decomposed worker pool,
-// then the one-NP-call preferability checks run concurrently over the
-// collected candidates. Both phases issue the same queries as the
-// serial route (one perfection check per minimal model), so the
-// oracle-call total is worker-count-invariant; with limit > 0 the
-// candidate collection still runs to completion before filtering.
-// Yield order is nondeterministic.
-func (s *Sem) ModelsPar(d *db.DB, limit int, yield func(logic.Interp) bool, opt models.ParOptions) (count int, err error) {
-	defer budget.Recover(&err)
-	if err := s.check(d); err != nil {
-		return 0, err
-	}
-	pri := strat.NewPriority(d)
-	eng := models.NewEngine(d, s.opts.Oracle)
-	var cands []logic.Interp
-	eng.MinimalModelsPar(0, func(m logic.Interp) bool {
-		cands = append(cands, m) // emitter serialises this callback
-		return true
-	}, opt)
-	perfect := par.MapBool(opt.Workers, len(cands), func(i int) bool {
-		return s.IsPerfect(d, cands[i], pri)
-	})
-	for i, ok := range perfect {
-		if !ok {
-			continue
-		}
-		count++
-		if !yield(cands[i]) || (limit > 0 && count >= limit) {
-			break
-		}
-	}
-	return count, nil
+	return count, err
 }
 
 // HasModel decides PERF(DB) ≠ ∅ — the Σ₂ᵖ-complete cell: search over

@@ -309,10 +309,10 @@ func bufferedModelKeys(d *db.DB, kind string) []string {
 		keys = append(keys, strings.Join(atoms, ","))
 		return true
 	}
+	it := eng.IterateModels(0)
 	if kind == "minimal" {
-		eng.MinimalModels(0, collect)
-	} else {
-		eng.EnumerateModels(0, collect)
+		it = eng.IterateMinimalModels(0)
 	}
+	models.Drain(it, collect)
 	return keys
 }

@@ -101,15 +101,19 @@ func directModels(t *testing.T, dbText, kind string, parallel bool) ([]string, i
 		keys = append(keys, strings.Join(atoms, ","))
 		return true
 	}
+	var it models.ModelIterator
 	switch {
 	case kind == "minimal" && parallel:
-		eng.MinimalModelsPar(0, collect, models.ParOptions{})
+		it = eng.IterateMinimalModelsPar(0, models.ParOptions{})
 	case kind == "minimal":
-		eng.MinimalModels(0, collect)
+		it = eng.IterateMinimalModels(0)
 	case parallel:
-		eng.EnumerateModelsPar(0, collect, models.ParOptions{})
+		it = eng.IterateModelsPar(0, models.ParOptions{})
 	default:
-		eng.EnumerateModels(0, collect)
+		it = eng.IterateModels(0)
+	}
+	if _, err := models.Drain(it, collect); err != nil {
+		t.Fatal(err)
 	}
 	return keys, o.Counters().NPCalls
 }
