@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFormula -fuzztime=30s .
 	$(GO) test -fuzz=FuzzParseProgram -fuzztime=30s .
 	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s ./internal/sat
 
 clean:
 	$(GO) clean ./...

@@ -259,7 +259,7 @@ func (e *IncrementalEngine) MMEntails(f *logic.Formula, part Partition) bool {
 				return false
 			}
 		}
-		block := signatureBlock(min, part, n)
+		block := signatureBlock(nil, min, part, n)
 		if len(block) == 0 {
 			return true // unique minimal signature, already satisfies F
 		}

@@ -75,10 +75,11 @@ func ctxErr(ctx context.Context) error {
 // call, raising budget.Interrupt panics on trips — into the iterator
 // contract. Zero goroutines: the producer runs inside Next.
 type stepIter struct {
-	step  func() (logic.Interp, bool)
-	limit int
-	count int
-	err   error
+	step    func() (logic.Interp, bool)
+	release func() // frees the step function's resources; nil if none
+	limit   int
+	count   int
+	err     error
 }
 
 func (it *stepIter) Next(ctx context.Context) (logic.Interp, error) {
@@ -117,6 +118,9 @@ func (it *stepIter) Next(ctx context.Context) (logic.Interp, error) {
 func (it *stepIter) Close() error {
 	if it.err == nil {
 		it.err = io.EOF
+	}
+	if it.release != nil {
+		it.release()
 	}
 	return nil
 }
@@ -305,8 +309,8 @@ func (e *Engine) IterateMinimalModels(limit int) ModelIterator {
 // (formula inference) do so via MMEntails, which checks Z-variants
 // with a dedicated SAT call before blocking a signature.
 func (e *Engine) IterateMinimalModelsPZ(part Partition, limit int) ModelIterator {
-	s := &sigSearch{e: e, query: logic.CloneCNF(e.cnf), part: part}
-	return &stepIter{step: s.step, limit: limit}
+	s := &sigSearch{e: e, p: e.Ora.Prefix(e.DB.N(), e.cnf), part: part}
+	return &stepIter{step: s.step, release: s.release, limit: limit}
 }
 
 // IterateMinimalModelsPar is IterateMinimalModels across the

@@ -77,8 +77,9 @@ func NewEngine(d *db.DB, o *oracle.NP) *Engine {
 
 // NewEngineCNF returns an engine reusing an already-built clausal form
 // (e.g. a compiled artifact's CNF) instead of recomputing d.ToCNF().
-// The engine treats cnf as read-only (searches work on clones), so one
-// CNF may back many engines concurrently.
+// The engine never modifies cnf (searches load it into oracle prefixes
+// and add their own clauses there), so one CNF may back many engines
+// concurrently.
 func NewEngineCNF(d *db.DB, o *oracle.NP, cnf logic.CNF) *Engine {
 	if o == nil {
 		o = oracle.NewNP()
@@ -107,48 +108,94 @@ func (e *Engine) IsMinimal(m logic.Interp) bool {
 
 // IsMinimalPZ reports whether model m is (P;Z)-minimal: there is no
 // model N of DB with N∩Q = M∩Q and N∩P ⊊ M∩P. One NP call on the
-// shrink query (shrinkQuery) over the database CNF.
+// shrink query (suffix.shrink) over the database CNF.
 func (e *Engine) IsMinimalPZ(m logic.Interp, part Partition) bool {
-	n := e.DB.N()
-	query, ok := shrinkQuery(e.cnf, m, part, n)
+	p := e.Ora.Prefix(e.DB.N(), e.cnf)
+	defer p.Release()
+	return e.isMinimalIn(p, new(suffix), m, part)
+}
+
+// isMinimalIn is IsMinimalPZ against the loaded database prefix p,
+// building the query suffix in buf.
+func (e *Engine) isMinimalIn(p *oracle.Prefix, buf *suffix, m logic.Interp, part Partition) bool {
+	query, ok := buf.shrink(m, part, e.DB.N())
 	if !ok {
 		// M∩P is already empty: nothing can shrink.
 		return true
 	}
-	sat, _ := e.Ora.Sat(n, query)
+	sat, _ := p.Sat(query)
 	return !sat
 }
 
-// shrinkQuery builds the (P;Z) shrink query for m over base:
-// base ∧ (Q fixed as in m) ∧ (¬p for p ∈ P\M) ∧ (∨_{p ∈ P∩M} ¬p), whose
-// models are the base models equal to m on Q with a P part strictly
-// inside m's. The unit clauses follow atom order and the shrink clause
-// comes last. ok is false when m∩P is empty: nothing can shrink. base
-// is cloned, never modified.
-func shrinkQuery(base logic.CNF, m logic.Interp, part Partition, n int) (query logic.CNF, ok bool) {
-	query = logic.CloneCNF(base)
-	var shrink logic.Clause
+// suffix assembles the clauses an NP call adds after a loaded prefix,
+// in storage reused from query to query: a unit clause {l} is the
+// window lits[l:l+1] of a table holding every literal, and the clause
+// list and the shrink clause keep their capacity. The clauses are only
+// valid until the next build.
+type suffix struct {
+	lits    []logic.Lit // lits[l] == l
+	clauses logic.CNF
+	last    logic.Clause
+}
+
+// reset empties the suffix and covers the literals of n atoms.
+func (b *suffix) reset(n int) {
+	for len(b.lits) < 2*n {
+		b.lits = append(b.lits, logic.Lit(len(b.lits)))
+	}
+	b.clauses = b.clauses[:0]
+	b.last = b.last[:0]
+}
+
+// unit appends the unit clause {l}.
+func (b *suffix) unit(l logic.Lit) { b.clauses = append(b.clauses, b.lits[l:l+1:l+1]) }
+
+// shrink builds the (P;Z) shrink suffix for m: (Q fixed as in m) ∧
+// (¬p for p ∈ P\M) ∧ (∨_{p ∈ P∩M} ¬p), whose models over the database
+// are those equal to m on Q with a P part strictly inside m's. The
+// unit clauses follow atom order and the shrink clause comes last. ok
+// is false when m∩P is empty: nothing can shrink.
+func (b *suffix) shrink(m logic.Interp, part Partition, n int) (query logic.CNF, ok bool) {
+	b.reset(n)
 	for v := 0; v < n; v++ {
 		a := logic.Atom(v)
 		switch {
 		case part.Q.Test(v):
-			if m.Holds(a) {
-				query = append(query, logic.Clause{logic.PosLit(a)})
-			} else {
-				query = append(query, logic.Clause{logic.NegLit(a)})
-			}
+			b.unit(logic.MkLit(a, m.Holds(a)))
 		case part.P.Test(v):
 			if m.Holds(a) {
-				shrink = append(shrink, logic.NegLit(a))
+				b.last = append(b.last, logic.NegLit(a))
 			} else {
-				query = append(query, logic.Clause{logic.NegLit(a)})
+				b.unit(logic.NegLit(a))
 			}
 		}
 	}
-	if len(shrink) == 0 {
+	if len(b.last) == 0 {
 		return nil, false
 	}
-	return append(query, shrink), true
+	b.clauses = append(b.clauses, b.last)
+	return b.clauses, true
+}
+
+// fix builds the units fixing every atom outside skip to its value in
+// m, in atom order.
+func (b *suffix) fix(m logic.Interp, skip *bitset.Set, n int) logic.CNF {
+	b.reset(n)
+	for v := 0; v < n; v++ {
+		if !skip.Test(v) {
+			a := logic.Atom(v)
+			b.unit(logic.MkLit(a, m.Holds(a)))
+		}
+	}
+	return b.clauses
+}
+
+// block returns signatureBlock's clause for m, built in the suffix's
+// clause storage.
+func (b *suffix) block(m logic.Interp, part Partition, n int) logic.Clause {
+	b.reset(n)
+	b.last = signatureBlock(b.last, m, part, n)
+	return b.last
 }
 
 // Minimize shrinks a model m to a minimal model below it by repeated
@@ -161,7 +208,9 @@ func (e *Engine) Minimize(m logic.Interp) logic.Interp {
 // MinimizePZ shrinks m to a (P;Z)-minimal model N with N∩P ⊆ M∩P and
 // N∩Q = M∩Q.
 func (e *Engine) MinimizePZ(m logic.Interp, part Partition) logic.Interp {
-	return e.minimizeAgainst(e.cnf, m.Clone(), part)
+	p := e.Ora.Prefix(e.DB.N(), e.cnf)
+	defer p.Release()
+	return e.minimizeAgainst(p, new(suffix), m.Clone(), part)
 }
 
 // sigSearch is the signature-blocking search over a base clause set
@@ -170,12 +219,14 @@ func (e *Engine) MinimizePZ(m logic.Interp, part Partition) logic.Interp {
 // Each step finds one base-(P;Z)-minimal signature and installs its
 // blocking clause before returning, so the oracle-call sequence is
 // identical whether the caller continues or stops (the clause only
-// influences later steps). The base is appended to in place.
+// influences later steps). The base and its blocking clauses are
+// loaded once, in the oracle prefix p; release returns it.
 type sigSearch struct {
-	e     *Engine
-	query logic.CNF
-	part  Partition
-	done  bool
+	e    *Engine
+	p    *oracle.Prefix
+	part Partition
+	buf  suffix
+	done bool
 }
 
 // step finds the next base-(P;Z)-minimal signature representative.
@@ -183,29 +234,33 @@ func (s *sigSearch) step() (logic.Interp, bool) {
 	if s.done {
 		return logic.Interp{}, false
 	}
-	n := s.e.DB.N()
-	sat, m := s.e.Ora.Sat(n, s.query)
+	sat, m := s.p.Sat(nil)
 	if !sat {
-		s.done = true
+		s.release()
 		return logic.Interp{}, false
 	}
-	min := s.e.minimizeAgainst(s.query, m, s.part)
+	min := s.e.minimizeAgainst(s.p, &s.buf, m, s.part)
 	// Block every model with the same Q part and P part ⊇ min∩P.
-	block := signatureBlock(min, s.part, n)
-	if len(block) == 0 {
-		s.done = true // unique signature (∅ on P, no Q): done after min
+	if block := s.buf.block(min, s.part, s.e.DB.N()); len(block) == 0 {
+		s.release() // unique signature (∅ on P, no Q): done after min
 	} else {
-		s.query = append(s.query, block)
+		s.p.Add(block)
 	}
 	return min, true
 }
 
-// signatureBlock returns the clause excluding the (⊆ on P, = on Q)
-// cone of m's signature: some atom of m∩P false, or some Q atom
-// different from m. An empty clause means the signature is the unique
-// one (∅ on P, no Q atoms) and nothing remains to search.
-func signatureBlock(m logic.Interp, part Partition, n int) logic.Clause {
-	var block logic.Clause
+// release ends the search and returns its prefix to the pool.
+func (s *sigSearch) release() {
+	s.done = true
+	s.p.Release()
+}
+
+// signatureBlock appends to dst[:0] the clause excluding the (⊆ on P,
+// = on Q) cone of m's signature: some atom of m∩P false, or some Q
+// atom different from m. An empty clause means the signature is the
+// unique one (∅ on P, no Q atoms) and nothing remains to search.
+func signatureBlock(dst logic.Clause, m logic.Interp, part Partition, n int) logic.Clause {
+	block := dst[:0]
 	for v := 0; v < n; v++ {
 		a := logic.Atom(v)
 		switch {
@@ -224,21 +279,23 @@ func signatureBlock(m logic.Interp, part Partition, n int) logic.Clause {
 	return block
 }
 
-// minimizeAgainst minimises m within the constraint set query (which
-// may contain blocking clauses) — the blocking clauses only exclude
-// supersets of already-yielded minimal models, so minimising within
-// query still yields a model of DB minimal w.r.t. DB (any strictly
-// smaller model of DB below a query-model is itself a query-model:
-// blocking clauses are negative on P, hence closed under shrinking P).
-func (e *Engine) minimizeAgainst(query logic.CNF, m logic.Interp, part Partition) logic.Interp {
+// minimizeAgainst minimises m within the constraint set loaded in p
+// (which may contain blocking clauses) — the blocking clauses only
+// exclude supersets of already-yielded minimal models, so minimising
+// within them still yields a model of DB minimal w.r.t. DB (any
+// strictly smaller model of DB below a query-model is itself a
+// query-model: blocking clauses are negative on P, hence closed under
+// shrinking P). Each step is one NP call on p plus a shrink suffix
+// built in buf.
+func (e *Engine) minimizeAgainst(p *oracle.Prefix, buf *suffix, m logic.Interp, part Partition) logic.Interp {
 	n := e.DB.N()
 	cur := m
 	for {
-		q2, ok := shrinkQuery(query, cur, part, n)
+		query, ok := buf.shrink(cur, part, n)
 		if !ok {
 			return cur
 		}
-		sat, smaller := e.Ora.Sat(n, q2)
+		sat, smaller := p.Sat(query)
 		if !sat {
 			return cur
 		}
@@ -269,15 +326,26 @@ func (e *Engine) AtomFalseInAllMinimal(x logic.Atom, part Partition) bool {
 // co-search over models with one NP (minimality) call per candidate.
 // Candidates are found by SAT on DB ∧ ¬F; each non-minimal candidate
 // is minimised (its minimisation may satisfy F, in which case it is
-// blocked and the search continues).
+// blocked and the search continues). DB ∧ ¬F and its blocking clauses
+// are loaded once in an oracle prefix, and so is DB for minimising.
 func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic.Interp) {
 	n := e.DB.N()
 	voc := e.DB.Voc.Clone()
 	neg := logic.TseitinNeg(f, voc)
-	query := logic.CloneCNF(e.cnf)
-	query = append(query, neg...)
+	query := e.Ora.Prefix(voc.Size(), e.cnf)
+	defer query.Release()
+	for _, cl := range neg {
+		query.Add(cl)
+	}
+	var base *oracle.Prefix // DB alone, loaded at the first candidate
+	defer func() {
+		if base != nil {
+			base.Release()
+		}
+	}()
+	var buf suffix
 	for {
-		sat, m := e.Ora.Sat(voc.Size(), query)
+		sat, m := query.Sat(nil)
 		if !sat {
 			return true, logic.Interp{}
 		}
@@ -286,7 +354,10 @@ func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic
 		for v := 0; v < n; v++ {
 			mv.True.SetTo(v, m.Holds(logic.Atom(v)))
 		}
-		min := e.MinimizePZ(mv, part)
+		if base == nil {
+			base = e.Ora.Prefix(n, e.cnf)
+		}
+		min := e.minimizeAgainst(base, &buf, mv, part)
 		if !f.Eval(min) {
 			return false, min // a (P;Z)-minimal model violating F
 		}
@@ -298,19 +369,7 @@ func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic
 		// So if some Z-variant of min violates F, the answer is false:
 		// check with one SAT call before blocking.
 		if !part.Z.IsEmpty() {
-			zq := logic.CloneCNF(query)
-			for v := 0; v < n; v++ {
-				a := logic.Atom(v)
-				if part.Z.Test(v) {
-					continue
-				}
-				if min.Holds(a) {
-					zq = append(zq, logic.Clause{logic.PosLit(a)})
-				} else {
-					zq = append(zq, logic.Clause{logic.NegLit(a)})
-				}
-			}
-			if zsat, zm := e.Ora.Sat(voc.Size(), zq); zsat {
+			if zsat, zm := query.Sat(buf.fix(min, part.Z, n)); zsat {
 				wv := logic.NewInterp(n)
 				for v := 0; v < n; v++ {
 					wv.True.SetTo(v, zm.Holds(logic.Atom(v)))
@@ -318,28 +377,31 @@ func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic
 				return false, wv
 			}
 		}
-		block := signatureBlock(min, part, n)
+		block := buf.block(min, part, n)
 		if len(block) == 0 {
 			return true, logic.Interp{} // unique minimal signature, already satisfies F
 		}
-		query = append(query, block)
+		query.Add(block)
 	}
 }
 
 // UniqueMinimalModel decides UMINSAT: does DB have exactly one minimal
 // model? (Proposition 5.4: coNP-hard; our procedure uses at most
-// |V|+3 NP calls: find a model, minimise, then ask for a model not
-// above it and minimise that.)
+// |V|+2 NP calls: find a model, minimise it to min, then ask for a
+// model not above min.) All three steps run on one loaded prefix of
+// the database CNF.
 func (e *Engine) UniqueMinimalModel() (bool, logic.Interp) {
-	ok, m := e.HasModel()
+	n := e.DB.N()
+	p := e.Ora.Prefix(n, e.cnf)
+	defer p.Release()
+	ok, m := p.Sat(nil)
 	if !ok {
 		return false, logic.Interp{}
 	}
-	min := e.Minimize(m)
-	// Any other minimal model is not a superset of min: require some
-	// atom of min false ∨ … actually require N ⊉ min: ∨_{a∈min} ¬a.
-	n := e.DB.N()
-	query := logic.CloneCNF(e.cnf)
+	min := e.minimizeAgainst(p, new(suffix), m, FullMin(n))
+	// Minimal models are pairwise ⊆-incomparable, so any other minimal
+	// model N satisfies N ⊉ min, i.e. ∨_{a∈min} ¬a; and a model of that
+	// clause lies above some minimal model other than min.
 	var notAbove logic.Clause
 	min.True.ForEach(func(i int) {
 		notAbove = append(notAbove, logic.NegLit(logic.Atom(i)))
@@ -348,8 +410,7 @@ func (e *Engine) UniqueMinimalModel() (bool, logic.Interp) {
 		// min = ∅ is contained in every model: unique.
 		return true, min
 	}
-	query = append(query, notAbove)
-	sat, _ := e.Ora.Sat(n, query)
+	sat, _ := p.Sat(logic.CNF{notAbove})
 	if !sat {
 		return true, min
 	}

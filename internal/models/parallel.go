@@ -95,28 +95,32 @@ func (e *Engine) minimalModelsPZPar(part Partition, limit int, opt ParOptions, y
 		if em.done() {
 			return
 		}
+		n := e.DB.N()
+		// Region query: DB ∧ ¬p_w (w before i) ∧ p_i (omitted for R_∅).
+		s := &sigSearch{e: e, p: e.Ora.Prefix(n, e.cnf), part: part}
+		defer s.release()
+		// DB alone, for the global minimality checks.
+		global := e.Ora.Prefix(n, e.cnf)
+		defer global.Release()
 		defer func() {
 			if r := recover(); r != nil {
 				em.halt() // budget trip: silence siblings before unwinding
 				panic(r)
 			}
 		}()
-		// Region query: DB ∧ ¬p_w (w before i) ∧ p_i (omitted for R_∅).
-		query := logic.CloneCNF(e.cnf)
 		for j := 0; j < i && j < len(pAtoms); j++ {
-			query = append(query, logic.Clause{logic.NegLit(logic.Atom(pAtoms[j]))})
+			s.p.Add(logic.Clause{logic.NegLit(logic.Atom(pAtoms[j]))})
 		}
 		if i < len(pAtoms) {
-			query = append(query, logic.Clause{logic.PosLit(logic.Atom(pAtoms[i]))})
+			s.p.Add(logic.Clause{logic.PosLit(logic.Atom(pAtoms[i]))})
 		}
-		s := &sigSearch{e: e, query: query, part: part}
 		for {
 			m, ok := s.step()
 			if !ok || em.done() {
 				return
 			}
 			// Region-minimal; globally minimal? One NP call.
-			if e.IsMinimalPZ(m, part) && !em.emit(m) {
+			if e.isMinimalIn(global, &s.buf, m, part) && !em.emit(m) {
 				return
 			}
 		}

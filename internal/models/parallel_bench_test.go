@@ -3,11 +3,13 @@ package models
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"disjunct/internal/db"
 	"disjunct/internal/gen"
 	"disjunct/internal/logic"
+	"disjunct/internal/oracle"
 )
 
 // benchDBs returns generator instances with nontrivial minimal-model
@@ -65,4 +67,29 @@ func BenchmarkEnumerateModelsPar(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMinimalModelsStreamShape enumerates MM(DB) serially over the
+// stream-shaped set (streamShapeDBs), one pass per iteration, and
+// reports the cost per yielded model.
+func BenchmarkMinimalModelsStreamShape(b *testing.B) {
+	dbs := streamShapeDBs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	o := oracle.NewNP()
+	var yielded int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range dbs {
+			n, _ := Drain(NewEngine(d, o).IterateMinimalModels(0), func(logic.Interp) bool { return true })
+			yielded += n
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	per := float64(yielded)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/model")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/per, "allocs/model")
+	b.ReportMetric(float64(o.Counters().NPCalls)/per, "NP/model")
 }

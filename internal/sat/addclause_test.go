@@ -40,13 +40,13 @@ func TestAddClauseNormalisation(t *testing.T) {
 		for _, c := range tc.pre {
 			s.AddClause(lits(c...)...)
 		}
-		nClauses, nTrail := len(s.clauses), len(s.trail)
+		nArena, nTrail := len(s.arena), len(s.trail)
 		if got := s.AddClause(lits(tc.add...)...); got != tc.ok {
 			t.Errorf("%s: AddClause = %v, want %v", tc.name, got, tc.ok)
 		}
 		var stored []Lit
-		if len(s.clauses) > nClauses {
-			stored = s.clauses[nClauses].lits
+		if len(s.arena) > nArena {
+			stored = s.lits(cref(nArena))
 		}
 		if want := lits(tc.stored...); !equalLits(stored, want) {
 			t.Errorf("%s: stored clause %v, want %v", tc.name, stored, want)

@@ -3,6 +3,11 @@
 // conflict analysis with clause minimisation, VSIDS-style activity
 // ordering, Luby restarts, phase saving, and solving under assumptions.
 //
+// Problem and learnt clauses live in one flat literal arena and are
+// referenced by offset (MiniSat's clause allocator), so loading a CNF
+// into a Reset solver allocates nothing once the arena is warm, and a
+// loaded solver is copied with a handful of copy calls (CopyFrom).
+//
 // The solver is the NP oracle of this library: every membership
 // algorithm for an NP/coNP/Σ₂ᵖ/Π₂ᵖ table cell bottoms out in calls to
 // Solver.Solve. Literals use the same encoding as package logic
@@ -11,6 +16,7 @@ package sat
 
 import (
 	"errors"
+	"math"
 
 	"disjunct/internal/budget"
 )
@@ -51,17 +57,25 @@ func boolToLbool(b bool) lbool {
 	return lFalse
 }
 
-// clause is a learnt or problem clause stored in the solver.
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-}
+// cref is a clause reference: the arena offset of the clause header.
+// A clause occupies arena[c] (header: size<<2 | deleted<<1 | learnt),
+// its literals arena[c+1 : c+1+size], and, when learnt, two more words
+// holding the bits of its float64 activity.
+type cref uint32
+
+// crefUndef is the null clause reference (no reason, no conflict).
+const crefUndef cref = math.MaxUint32
+
+// Clause header flags.
+const (
+	hdrLearnt  = 1
+	hdrDeleted = 2
+)
 
 // watcher pairs a clause reference with a "blocker" literal that is
 // checked before touching the clause (cache-friendly early exit).
 type watcher struct {
-	cref    *clause
+	cref    cref
 	blocker Lit
 }
 
@@ -109,14 +123,15 @@ type Stats struct {
 // instances with New. A Solver is not safe for concurrent use.
 type Solver struct {
 	nVars   int
-	clauses []*clause // problem clauses
-	learnts []*clause
+	arena   []Lit  // every problem and learnt clause, see cref
+	wasted  int    // arena words of deleted clauses, reclaimed by compact
+	learnts []cref // learnt clauses in creation order
 
 	watches [][]watcher // indexed by literal
 
 	assign  []lbool // indexed by variable
 	level   []int32 // decision level of assignment
-	reason  []*clause
+	reason  []cref
 	trail   []Lit
 	trailLn []int32 // trail length at each decision level (index = level)
 	qhead   int
@@ -127,6 +142,7 @@ type Solver struct {
 	phase     []bool // saved phase
 	seen      []bool // scratch for analyze
 	litMark   []bool // scratch for AddClause, indexed by literal; all false between calls
+	assumed   []bool // scratch for analyzeFinal*, indexed by variable; all false between calls
 	claInc    float64
 	maxLearnt float64
 
@@ -144,9 +160,14 @@ type Solver struct {
 	scratch    struct {
 		learnt  []Lit
 		toClear []int
-		clause  []Lit // AddClause's normalised literals before they are stored
+		clause  []Lit      // AddClause's normalised literals before they are stored
+		acts    []float64  // reduceDB's learnt activities
+		reloc   []relocate // compact's moves, by ascending old offset
 	}
 }
+
+// relocate records that compact moved a clause from old to new.
+type relocate struct{ old, new cref }
 
 // New returns a solver over nVars variables (indices 0..nVars-1).
 func New(nVars int) *Solver {
@@ -176,10 +197,11 @@ func (s *Solver) grow(n int) {
 	for v := s.nVars; v < n; v++ {
 		s.assign = append(s.assign, lUndef)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, crefUndef)
 		s.activity = append(s.activity, 0)
 		s.phase = append(s.phase, false)
 		s.seen = append(s.seen, false)
+		s.assumed = append(s.assumed, false)
 	}
 	s.nVars = n
 	if s.order == nil {
@@ -191,10 +213,11 @@ func (s *Solver) grow(n int) {
 }
 
 // Reset returns the solver to the state of a fresh New(nVars) while
-// keeping every allocation it has accumulated: the watcher buckets,
-// the per-variable arrays (assignment, level, reason, activity, phase,
-// seen), the trail, the activity heap, and the analysis scratch all
-// retain their capacity. Problem and learnt clauses are dropped.
+// keeping every allocation it has accumulated: the clause arena, the
+// watcher buckets, the per-variable arrays (assignment, level, reason,
+// activity, phase, seen), the trail, the activity heap, and the
+// analysis scratch all retain their capacity. Problem and learnt
+// clauses are dropped.
 //
 // Reset is the reuse path of the oracle's solver pool: loading a CNF
 // into a Reset solver touches only already-warm memory instead of
@@ -204,7 +227,8 @@ func (s *Solver) Reset(nVars int) {
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
-	s.clauses = s.clauses[:0]
+	s.arena = s.arena[:0]
+	s.wasted = 0
 	s.learnts = s.learnts[:0]
 	s.assign = s.assign[:0]
 	s.level = s.level[:0]
@@ -212,6 +236,7 @@ func (s *Solver) Reset(nVars int) {
 	s.activity = s.activity[:0]
 	s.phase = s.phase[:0]
 	s.seen = s.seen[:0]
+	s.assumed = s.assumed[:0]
 	s.litMark = s.litMark[:0]
 	s.trail = s.trail[:0]
 	s.trailLn = s.trailLn[:0]
@@ -231,6 +256,62 @@ func (s *Solver) Reset(nVars int) {
 	s.order.clear()
 	s.nVars = 0
 	s.grow(nVars)
+}
+
+// CopyFrom makes s an exact copy of src, reusing s's capacity: the
+// clause arena and learnt list, the watches, the assignment, level,
+// reason and trail, the activity heap, phases and activities, the
+// okay flag, the last result and Stats. src must be outside Solve (at
+// decision level 0), as every solver between calls is. Adding clauses
+// C to the copy and solving it then behaves exactly as src would:
+// same verdicts, models, FinalConflict and Stats.
+//
+// The budget attached to s with SetBudget stays attached, and every
+// propagation src has not charged to a budget (those of loading it)
+// counts as not yet charged, as on a solver loaded after SetBudget.
+// The conflict budget and the restart setting are copied from src.
+func (s *Solver) CopyFrom(src *Solver) {
+	if len(src.trailLn) != 0 {
+		panic("sat: CopyFrom of a solver inside Solve")
+	}
+	s.nVars = src.nVars
+	s.arena = append(s.arena[:0], src.arena...)
+	s.wasted = src.wasted
+	s.learnts = append(s.learnts[:0], src.learnts...)
+	for len(s.watches) < len(src.watches) {
+		s.watches = append(s.watches, nil)
+	}
+	for i := range s.watches {
+		if i < len(src.watches) {
+			s.watches[i] = append(s.watches[i][:0], src.watches[i]...)
+		} else {
+			s.watches[i] = s.watches[i][:0]
+		}
+	}
+	s.assign = append(s.assign[:0], src.assign...)
+	s.level = append(s.level[:0], src.level...)
+	s.reason = append(s.reason[:0], src.reason...)
+	s.trail = append(s.trail[:0], src.trail...)
+	s.trailLn = s.trailLn[:0]
+	s.qhead = src.qhead
+	s.activity = append(s.activity[:0], src.activity...)
+	s.varInc = src.varInc
+	s.order.heap = append(s.order.heap[:0], src.order.heap...)
+	s.order.index = append(s.order.index[:0], src.order.index...)
+	s.phase = append(s.phase[:0], src.phase...)
+	s.seen = append(s.seen[:0], src.seen...)
+	s.assumed = append(s.assumed[:0], src.assumed...)
+	s.litMark = append(s.litMark[:0], src.litMark...)
+	s.claInc = src.claInc
+	s.maxLearnt = src.maxLearnt
+	s.okay = src.okay
+	s.model = append(s.model[:0], src.model...)
+	s.finalConf = append(s.finalConf[:0], src.finalConf...)
+	s.budget = src.budget
+	s.stopErr = src.stopErr
+	s.propsDebit = src.propsDebit
+	s.noRestarts = src.noRestarts
+	s.stats = src.stats
 }
 
 // NumVars returns the number of variables.
@@ -337,17 +418,56 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.okay = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(cl[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(cl[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.okay = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), cl...)}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	s.attach(s.alloc(cl, false))
 	return true
+}
+
+// alloc stores a clause in the arena and returns its reference.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	hdr := Lit(len(lits)) << 2
+	if learnt {
+		hdr |= hdrLearnt
+	}
+	s.arena = append(s.arena, hdr)
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0) // activity 0
+	}
+	return c
+}
+
+// lits returns the literals of clause c, aliasing the arena: the
+// slice is invalidated by the next alloc or compact.
+func (s *Solver) lits(c cref) []Lit {
+	return s.arena[c+1 : c+1+cref(s.arena[c]>>2)]
+}
+
+// words returns the number of arena words clause c occupies.
+func (s *Solver) words(c cref) int {
+	h := s.arena[c]
+	return 1 + int(h>>2) + 2*int(h&hdrLearnt)
+}
+
+// clauseAct returns the activity of learnt clause c.
+func (s *Solver) clauseAct(c cref) float64 {
+	i := c + 1 + cref(s.arena[c]>>2)
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+// setClauseAct sets the activity of learnt clause c.
+func (s *Solver) setClauseAct(c cref, a float64) {
+	i := c + 1 + cref(s.arena[c]>>2)
+	b := math.Float64bits(a)
+	s.arena[i] = Lit(uint32(b))
+	s.arena[i+1] = Lit(uint32(b >> 32))
 }
 
 // unmark clears AddClause's marks on cl and keeps cl's storage as the
@@ -359,14 +479,14 @@ func (s *Solver) unmark(cl []Lit) {
 	s.scratch.clause = cl[:0]
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
+func (s *Solver) attach(c cref) {
+	l0, l1 := s.arena[c+1], s.arena[c+2]
 	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{c, l1})
 	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{c, l0})
 }
 
 // uncheckedEnqueue records the assignment l=true with the given reason.
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	s.assign[v] = boolToLbool(l.IsPos())
 	s.level[v] = int32(s.decisionLevel())
@@ -375,8 +495,8 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting
-// clause, or nil if no conflict was found.
-func (s *Solver) propagate() *clause {
+// clause, or crefUndef if no conflict was found.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
@@ -392,21 +512,22 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.cref
+			lits := s.lits(c)
 			// Ensure the false literal (¬p) is at position 1.
 			np := p.Neg()
-			if c.lits[0] == np {
-				c.lits[0], c.lits[1] = c.lits[1], np
+			if lits[0] == np {
+				lits[0], lits[1] = lits[1], np
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				out = append(out, watcher{c, first})
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nl := c.lits[1].Neg()
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nl := lits[1].Neg()
 					s.watches[nl] = append(s.watches[nl], watcher{c, first})
 					continue nextWatcher
 				}
@@ -426,13 +547,13 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = out
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze performs first-UIP conflict analysis, filling
 // s.scratch.learnt with the learnt clause (asserting literal first) and
 // returning the backtrack level.
-func (s *Solver) analyze(confl *clause) int {
+func (s *Solver) analyze(confl cref) int {
 	learnt := s.scratch.learnt[:0]
 	learnt = append(learnt, 0) // placeholder for the asserting literal
 	pathC := 0
@@ -441,7 +562,7 @@ func (s *Solver) analyze(confl *clause) int {
 
 	for {
 		s.bumpClause(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -480,7 +601,7 @@ func (s *Solver) analyze(confl *clause) int {
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
-		if r := s.reason[learnt[i].Var()]; r == nil || !s.redundant(r) {
+		if r := s.reason[learnt[i].Var()]; r == crefUndef || !s.redundant(r) {
 			learnt[j] = learnt[i]
 			j++
 		}
@@ -513,8 +634,8 @@ func (s *Solver) analyze(confl *clause) int {
 // redundant reports whether every literal of the reason clause r (other
 // than its asserting literal) is already marked seen or implied at level
 // 0 — a cheap, local version of recursive minimisation.
-func (s *Solver) redundant(r *clause) bool {
-	for _, q := range r.lits[1:] {
+func (s *Solver) redundant(r cref) bool {
+	for _, q := range s.lits(r)[1:] {
 		v := q.Var()
 		if !s.seen[v] && s.level[v] != 0 {
 			return false
@@ -533,7 +654,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := s.trail[i].Var()
 		s.phase[v] = s.assign[v] == lTrue
 		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:lim]
@@ -552,14 +673,15 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(c cref) {
+	if s.arena[c]&hdrLearnt == 0 {
 		return
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+	a := s.clauseAct(c) + s.claInc
+	s.setClauseAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setClauseAct(lc, s.clauseAct(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -583,35 +705,88 @@ func (s *Solver) pickBranchVar() int {
 }
 
 // reduceDB removes roughly half of the learnt clauses, lowest activity
-// first, keeping reasons and binary clauses.
+// first, keeping reasons and binary clauses. Once the deleted clauses
+// occupy more of the arena than the live ones, compact reclaims them.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
 	// Partial selection: find median activity by simple nth-element scan.
-	acts := make([]float64, len(s.learnts))
-	for i, c := range s.learnts {
-		acts[i] = c.activity
+	acts := s.scratch.acts[:0]
+	for _, c := range s.learnts {
+		acts = append(acts, s.clauseAct(c))
 	}
+	s.scratch.acts = acts
 	med := quickMedian(acts)
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || c.activity >= med || s.isReason(c) {
+		if s.arena[c]>>2 <= 2 || s.clauseAct(c) >= med || s.isReason(c) {
 			kept = append(kept, c)
 		} else {
 			s.detach(c)
+			s.arena[c] |= hdrDeleted
+			s.wasted += s.words(c)
 		}
 	}
 	s.learnts = kept
+	if s.wasted > len(s.arena)-s.wasted {
+		s.compact()
+	}
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
+// compact slides the live clauses down over the deleted ones, keeping
+// their arena order, and rewrites every reference to them: watchers,
+// reasons and the learnt list. Only offsets change, so the search
+// proceeds exactly as without compaction.
+func (s *Solver) compact() {
+	reloc := s.scratch.reloc[:0]
+	j := 0
+	for i := 0; i < len(s.arena); {
+		w := s.words(cref(i))
+		if s.arena[i]&hdrDeleted == 0 {
+			reloc = append(reloc, relocate{cref(i), cref(j)})
+			copy(s.arena[j:j+w], s.arena[i:i+w])
+			j += w
+		}
+		i += w
+	}
+	s.arena = s.arena[:j]
+	s.wasted = 0
+	s.scratch.reloc = reloc
+	moved := func(c cref) cref {
+		lo, hi := 0, len(reloc)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if reloc[m].old < c {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		return reloc[lo].new
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].cref = moved(ws[i].cref)
+		}
+	}
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v] = moved(r)
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = moved(c)
+	}
+}
+
+func (s *Solver) isReason(c cref) bool {
+	v := s.arena[c+1].Var()
 	return s.assign[v] != lUndef && s.reason[v] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, l := range []Lit{c.lits[0], c.lits[1]} {
+func (s *Solver) detach(c cref) {
+	for _, l := range [2]Lit{s.arena[c+1], s.arena[c+2]} {
 		ws := s.watches[l.Neg()]
 		for i, w := range ws {
 			if w.cref == c {
@@ -701,7 +876,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.stopErr = err
 			return Unknown
 		}
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflictsAtRestart++
 			if s.budget == 0 {
@@ -735,9 +910,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				// Unit learnt clause: enqueue directly. At level 0 this
 				// is a permanent fact; above (clamped to the assumption
 				// level) it holds for the rest of this Solve call.
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true}
+				c := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnt++
 				s.attach(c)
@@ -778,7 +953,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			default:
 				s.trailLn = append(s.trailLn, int32(len(s.trail)))
-				s.uncheckedEnqueue(a, nil)
+				s.uncheckedEnqueue(a, crefUndef)
 			}
 			continue
 		}
@@ -798,22 +973,28 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 		}
 		s.trailLn = append(s.trailLn, int32(len(s.trail)))
-		s.uncheckedEnqueue(MkLit(v, s.phase[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, s.phase[v]), crefUndef)
+	}
+}
+
+// markAssumed sets (on) or clears (off) the assumed mark of every
+// assumption variable; analyzeFinal and analyzeFinalLit bracket their
+// trail walk with it.
+func (s *Solver) markAssumed(assumptions []Lit, on bool) {
+	for _, a := range assumptions {
+		s.assumed[a.Var()] = on
 	}
 }
 
 // analyzeFinal computes the subset of assumptions responsible for the
 // conflict clause confl, storing it in s.finalConf.
-func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
+func (s *Solver) analyzeFinal(confl cref, assumptions []Lit) {
 	s.finalConf = s.finalConf[:0]
 	if s.decisionLevel() == 0 {
 		return
 	}
-	isAssumption := make(map[int]bool, len(assumptions))
-	for _, a := range assumptions {
-		isAssumption[a.Var()] = true
-	}
-	for _, l := range confl.lits {
+	s.markAssumed(assumptions, true)
+	for _, l := range s.lits(confl) {
 		if s.level[l.Var()] > 0 {
 			s.seen[l.Var()] = true
 		}
@@ -823,12 +1004,12 @@ func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
 		if !s.seen[v] {
 			continue
 		}
-		if r := s.reason[v]; r == nil {
-			if isAssumption[v] {
+		if r := s.reason[v]; r == crefUndef {
+			if s.assumed[v] {
 				s.finalConf = append(s.finalConf, s.trail[i].Neg())
 			}
 		} else {
-			for _, q := range r.lits {
+			for _, q := range s.lits(r) {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -836,32 +1017,33 @@ func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
 		}
 		s.seen[v] = false
 	}
+	s.markAssumed(assumptions, false)
 }
 
 // analyzeFinalLit handles the case where an assumption is directly
 // falsified by earlier assumptions/propagation.
 func (s *Solver) analyzeFinalLit(a Lit, assumptions []Lit) {
 	s.finalConf = s.finalConf[:0]
-	isAssumption := make(map[int]bool, len(assumptions))
-	for _, x := range assumptions {
-		isAssumption[x.Var()] = true
-	}
 	s.finalConf = append(s.finalConf, a)
 	if s.decisionLevel() == 0 {
 		return
 	}
-	s.seen[a.Var()] = true
+	s.markAssumed(assumptions, true)
+	if s.level[a.Var()] > 0 {
+		// A level-0 mark would outlive the walk, which stops at level 1.
+		s.seen[a.Var()] = true
+	}
 	for i := len(s.trail) - 1; i >= int(s.trailLn[0]); i-- {
 		v := s.trail[i].Var()
 		if !s.seen[v] {
 			continue
 		}
-		if r := s.reason[v]; r == nil {
-			if isAssumption[v] && v != a.Var() {
+		if r := s.reason[v]; r == crefUndef {
+			if s.assumed[v] && v != a.Var() {
 				s.finalConf = append(s.finalConf, s.trail[i].Neg())
 			}
 		} else {
-			for _, q := range r.lits {
+			for _, q := range s.lits(r) {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -869,6 +1051,7 @@ func (s *Solver) analyzeFinalLit(a Lit, assumptions []Lit) {
 		}
 		s.seen[v] = false
 	}
+	s.markAssumed(assumptions, false)
 }
 
 // FinalConflict returns the failed-assumption set of the most recent
