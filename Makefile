@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseProgram -fuzztime=30s .
 	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s ./internal/sat
+	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s ./internal/semantics/pws
 
 clean:
 	$(GO) clean ./...

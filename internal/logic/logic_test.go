@@ -1,7 +1,9 @@
 package logic
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +32,53 @@ func TestVocabulary(t *testing.T) {
 	c.Intern("new")
 	if v.Size() == c.Size() {
 		t.Fatalf("clone must be independent")
+	}
+}
+
+// freshNamedScan is FreshNamed's specification: rescan prefix,
+// prefix_0, prefix_1, … from the start on every call.
+func freshNamedScan(v *Vocabulary, prefix string) Atom {
+	name := prefix
+	for i := 0; ; i++ {
+		if _, ok := v.Lookup(name); !ok {
+			return v.Intern(name)
+		}
+		name = fmt.Sprintf("%s_%d", prefix, i)
+	}
+}
+
+// TestFreshNamedMatchesScan interleaves FreshNamed with interning of
+// user atoms named like its candidates (_t, _t_3, …) and with Clone,
+// and checks every returned name and atom id against the rescanning
+// specification.
+func TestFreshNamedMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	prefixes := []string{"_t", "_card", "x"}
+	for run := 0; run < 200; run++ {
+		got, want := NewVocabulary(), NewVocabulary()
+		for step := 0; step < 60; step++ {
+			p := prefixes[rng.Intn(len(prefixes))]
+			switch rng.Intn(5) {
+			case 0:
+				name := p
+				if rng.Intn(3) > 0 {
+					name = fmt.Sprintf("%s_%d", p, rng.Intn(12))
+				}
+				got.Intern(name)
+				want.Intern(name)
+			case 1:
+				got = got.Clone()
+			default:
+				g, w := got.FreshNamed(p), freshNamedScan(want, p)
+				if g != w || got.Name(g) != want.Name(w) {
+					t.Fatalf("run %d step %d: FreshNamed(%q) = %d %q, scan gives %d %q",
+						run, step, p, g, got.Name(g), w, want.Name(w))
+				}
+			}
+		}
+		if !reflect.DeepEqual(got.Names(), want.Names()) {
+			t.Fatalf("run %d: vocabularies diverged:\n%v\n%v", run, got.Names(), want.Names())
+		}
 	}
 }
 

@@ -36,11 +36,10 @@ func (h *varHeap) insert(v int) {
 }
 
 // clear empties the heap, keeping the backing arrays for reuse.
+// insert re-extends index as variables come back.
 func (h *varHeap) clear() {
 	h.heap = h.heap[:0]
-	for i := range h.index {
-		h.index[i] = -1
-	}
+	h.index = h.index[:0]
 }
 
 // update restores heap order after v's activity increased.

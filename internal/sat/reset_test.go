@@ -129,3 +129,40 @@ func TestResetGrowAndShrink(t *testing.T) {
 		}
 	}
 }
+
+// TestReuseWalksOnlyOwnSize: after a large instance, Reset and CopyFrom
+// size the watcher buckets and the heap index to the new instance, so a
+// pooled solver does not walk its high-water size on every reuse, and
+// a bucket that comes back into range is empty.
+func TestReuseWalksOnlyOwnSize(t *testing.T) {
+	const big, small = 4096, 8
+	s := New(0)
+	s.Reset(big)
+	for v := 0; v+1 < big; v++ {
+		s.AddClause(MkLit(v, false), MkLit(v+1, true))
+	}
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("big instance: %v", st)
+	}
+	s.Reset(small)
+	if len(s.watches) != 2*small || len(s.order.index) != small {
+		t.Fatalf("after Reset(%d): len(watches) = %d, len(order.index) = %d", small, len(s.watches), len(s.order.index))
+	}
+
+	tpl := New(small)
+	tpl.AddClause(MkLit(0, true), MkLit(1, true))
+	s.Reset(big)
+	for v := 0; v+1 < big; v++ {
+		s.AddClause(MkLit(v, false), MkLit(v+1, true))
+	}
+	s.CopyFrom(tpl)
+	if len(s.watches) != 2*small || len(s.order.index) != small {
+		t.Fatalf("after CopyFrom: len(watches) = %d, len(order.index) = %d", len(s.watches), len(s.order.index))
+	}
+	s.Reset(small + 2)
+	for i, ws := range s.watches {
+		if len(ws) != 0 {
+			t.Fatalf("bucket %d holds %d stale watchers after Reset", i, len(ws))
+		}
+	}
+}

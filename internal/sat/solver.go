@@ -188,9 +188,7 @@ func (s *Solver) grow(n int) {
 	if n <= s.nVars {
 		return
 	}
-	for len(s.watches) < 2*n {
-		s.watches = append(s.watches, nil)
-	}
+	s.resizeWatches(2 * n)
 	for len(s.litMark) < 2*n {
 		s.litMark = append(s.litMark, false)
 	}
@@ -212,6 +210,23 @@ func (s *Solver) grow(n int) {
 	}
 }
 
+// resizeWatches sets len(s.watches) to n. Buckets that come back into
+// range from the spare capacity are emptied but keep their backing
+// arrays, so a solver reused for a smaller instance walks only its own
+// 2·nVars buckets while a larger one later reuses the warm memory.
+func (s *Solver) resizeWatches(n int) {
+	for len(s.watches) < n {
+		if len(s.watches) == cap(s.watches) {
+			s.watches = append(s.watches, nil)
+			continue
+		}
+		s.watches = s.watches[:len(s.watches)+1]
+		last := len(s.watches) - 1
+		s.watches[last] = s.watches[last][:0]
+	}
+	s.watches = s.watches[:n]
+}
+
 // Reset returns the solver to the state of a fresh New(nVars) while
 // keeping every allocation it has accumulated: the clause arena, the
 // watcher buckets, the per-variable arrays (assignment, level, reason,
@@ -224,9 +239,7 @@ func (s *Solver) grow(n int) {
 // reallocating watcher lists per query. It restores the default
 // conflict budget and restart policy.
 func (s *Solver) Reset(nVars int) {
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
+	s.watches = s.watches[:0]
 	s.arena = s.arena[:0]
 	s.wasted = 0
 	s.learnts = s.learnts[:0]
@@ -278,15 +291,9 @@ func (s *Solver) CopyFrom(src *Solver) {
 	s.arena = append(s.arena[:0], src.arena...)
 	s.wasted = src.wasted
 	s.learnts = append(s.learnts[:0], src.learnts...)
-	for len(s.watches) < len(src.watches) {
-		s.watches = append(s.watches, nil)
-	}
-	for i := range s.watches {
-		if i < len(src.watches) {
-			s.watches[i] = append(s.watches[i][:0], src.watches[i]...)
-		} else {
-			s.watches[i] = s.watches[i][:0]
-		}
+	s.resizeWatches(len(src.watches))
+	for i, ws := range src.watches {
+		s.watches[i] = append(s.watches[i][:0], ws...)
 	}
 	s.assign = append(s.assign[:0], src.assign...)
 	s.level = append(s.level[:0], src.level...)
