@@ -1,6 +1,7 @@
 package fixpoint
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,37 @@ func TestLeastModelPanicsOnDisjunction(t *testing.T) {
 		}
 	}()
 	LeastModel(dbtest.MustParse("a | b."))
+}
+
+// TestLeastModelBackwardChain: on a_i ← a_{i+1}, a_{i+1} (listed from
+// the top, with a repeated body atom) and the fact a_{n−1}, every atom
+// is derived however the clauses are ordered; a ← a, e ← a_0, f stays
+// underived.
+func TestLeastModelBackwardChain(t *testing.T) {
+	const n = 500
+	d := db.New()
+	for a := 0; a <= n; a++ {
+		d.Voc.Intern(fmt.Sprintf("a%d", a))
+	}
+	for a := 0; a < n; a++ {
+		d.AddRule([]logic.Atom{logic.Atom(a)}, []logic.Atom{logic.Atom(a + 1), logic.Atom(a + 1)}, nil)
+	}
+	d.AddFact(logic.Atom(n))
+	e, f := d.Voc.Intern("e"), d.Voc.Intern("f")
+	d.AddRule([]logic.Atom{f}, []logic.Atom{f}, nil)
+	d.AddRule([]logic.Atom{e}, []logic.Atom{0, f}, nil)
+	m := LeastModel(d)
+	for a := 0; a <= n; a++ {
+		if !m.Holds(logic.Atom(a)) {
+			t.Fatalf("atom %d of the chain not derived", a)
+		}
+	}
+	if m.Holds(e) || m.Holds(f) {
+		t.Fatalf("e or f derived without support")
+	}
+	if !PossiblyTrue(d).Equal(m.True) {
+		t.Fatalf("PossiblyTrue differs from LeastModel on a definite program")
+	}
 }
 
 func TestPossiblyTrueBasic(t *testing.T) {

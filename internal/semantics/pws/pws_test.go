@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"disjunct/internal/core"
-	"disjunct/internal/db"
 	"disjunct/internal/dbtest"
 	"disjunct/internal/gen"
 	"disjunct/internal/logic"
@@ -59,72 +58,6 @@ func TestPWSDiffersFromDDR(t *testing.T) {
 	}
 	if refsem.Entails(refsem.DDR(d), f) {
 		t.Fatalf("DDR should NOT infer ¬c ∨ (a∧b) — the semantics differ here")
-	}
-}
-
-func TestModelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	s := New(core.Options{})
-	for iter := 0; iter < 250; iter++ {
-		var d *db.DB
-		if iter%2 == 0 {
-			d = gen.Random(rng, gen.Positive(2+rng.Intn(4), 1+rng.Intn(6)))
-		} else {
-			d = gen.Random(rng, gen.WithIntegrity(2+rng.Intn(4), 1+rng.Intn(6)))
-		}
-		want := refsem.PWS(d)
-		var got []logic.Interp
-		if _, err := s.Models(d, 0, func(m logic.Interp) bool {
-			got = append(got, m.Clone())
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !refsem.SameModelSet(want, got) {
-			t.Fatalf("iter %d: PWS model set mismatch\nDB:\n%swant %d got %d",
-				iter, d.String(), len(want), len(got))
-		}
-	}
-}
-
-func TestInferLiteralMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	s := New(core.Options{})
-	for iter := 0; iter < 200; iter++ {
-		n := 2 + rng.Intn(4)
-		d := gen.Random(rng, gen.WithIntegrity(n, 1+rng.Intn(6)))
-		set := refsem.PWS(d)
-		a := logic.Atom(rng.Intn(n))
-		for _, l := range []logic.Lit{logic.PosLit(a), logic.NegLit(a)} {
-			want := refsem.Entails(set, logic.LitF(l))
-			got, err := s.InferLiteral(d, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("iter %d: InferLiteral(%s)=%v want %v\nDB:\n%s",
-					iter, d.Voc.LitString(l), got, want, d.String())
-			}
-		}
-	}
-}
-
-func TestInferFormulaMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	s := New(core.Options{})
-	for iter := 0; iter < 150; iter++ {
-		n := 2 + rng.Intn(4)
-		d := gen.Random(rng, gen.WithIntegrity(n, 1+rng.Intn(5)))
-		f := randomFormula(rng, n, 3)
-		want := refsem.Entails(refsem.PWS(d), f)
-		got, err := s.InferFormula(d, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("iter %d: InferFormula=%v want %v\nDB:\n%sF: %s",
-				iter, got, want, d.String(), f.String(d.Voc))
-		}
 	}
 }
 
