@@ -207,20 +207,30 @@ func (d *DB) Sat(m logic.Interp) bool {
 // ToCNF translates the database to a CNF over its vocabulary: each
 // clause a1∨…∨an ← b1∧…∧bk∧¬c1∧…∧¬cm becomes the SAT clause
 // a1 ∨ … ∨ an ∨ ¬b1 ∨ … ∨ ¬bk ∨ c1 ∨ … ∨ cm.
+//
+// Every clause is a window of one literal slab, capped at its own end
+// so that a caller's append reallocates instead of overwriting the
+// next clause.
 func (d *DB) ToCNF() logic.CNF {
+	total := 0
+	for _, c := range d.Clauses {
+		total += len(c.Head) + len(c.PosBody) + len(c.NegBody)
+	}
+	lits := make([]logic.Lit, 0, total)
 	out := make(logic.CNF, 0, len(d.Clauses))
 	for _, c := range d.Clauses {
-		cl := make(logic.Clause, 0, len(c.Head)+len(c.PosBody)+len(c.NegBody))
+		start := len(lits)
 		for _, h := range c.Head {
-			cl = append(cl, logic.PosLit(h))
+			lits = append(lits, logic.PosLit(h))
 		}
 		for _, b := range c.PosBody {
-			cl = append(cl, logic.NegLit(b))
+			lits = append(lits, logic.NegLit(b))
 		}
 		for _, n := range c.NegBody {
-			cl = append(cl, logic.PosLit(n))
+			lits = append(lits, logic.PosLit(n))
 		}
-		out = append(out, cl)
+		end := len(lits)
+		out = append(out, logic.Clause(lits[start:end:end]))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,26 @@ func TestToCNFAgreesWithSat(t *testing.T) {
 				t.Fatalf("iter %d: CNF disagrees with Sat\nDB:\n%s", iter, d.String())
 			}
 		}
+	}
+}
+
+// ToCNF hands out windows of one literal slab; appending to one clause
+// must reallocate it rather than write into the clause after it.
+func TestToCNFClausesAreCapped(t *testing.T) {
+	d := New()
+	a, b, c := d.Voc.Intern("a"), d.Voc.Intern("b"), d.Voc.Intern("c")
+	d.Clauses = []Clause{
+		{Head: []logic.Atom{a}, PosBody: []logic.Atom{b}},
+		{Head: []logic.Atom{b, c}, NegBody: []logic.Atom{a}},
+	}
+	cnf := d.ToCNF()
+	next := append(logic.Clause(nil), cnf[1]...)
+	grown := append(cnf[0], logic.PosLit(c), logic.NegLit(c))
+	if len(grown) != 4 || len(cnf[0]) != 2 {
+		t.Fatalf("append result %v, clause 0 now %v", grown, cnf[0])
+	}
+	if !slices.Equal(cnf[1], next) {
+		t.Fatalf("append to clause 0 overwrote clause 1: %v, want %v", cnf[1], next)
 	}
 }
 

@@ -240,7 +240,7 @@ func (es *enumSearch) step() (logic.Interp, bool) {
 	if es.done {
 		return logic.Interp{}, false
 	}
-	n := es.e.DB.N()
+	n := es.e.n
 	if es.s == nil {
 		es.s = es.e.Ora.SatSolver(n, es.e.cnf)
 	}
@@ -277,7 +277,7 @@ func (e *Engine) IterateModels(limit int) ModelIterator {
 // pool (enumerateModelsPar): same model set, nondeterministic order,
 // worker-count-invariant oracle totals.
 func (e *Engine) IterateModelsPar(limit int, opt ParOptions) ModelIterator {
-	if e.DB.N() == 0 {
+	if e.n == 0 {
 		return e.IterateModels(limit) // no variable to split cubes on
 	}
 	return newPumpIter(limit, func(yield func(logic.Interp) bool) {
@@ -295,7 +295,7 @@ func (e *Engine) IterateModelsPar(limit int, opt ParOptions) ModelIterator {
 // the unique minimal model and enumeration stops. limit ≤ 0 means
 // unlimited.
 func (e *Engine) IterateMinimalModels(limit int) ModelIterator {
-	return e.IterateMinimalModelsPZ(FullMin(e.DB.N()), limit)
+	return e.IterateMinimalModelsPZ(FullMin(e.n), limit)
 }
 
 // IterateMinimalModelsPZ enumerates MM(DB;P;Z), one representative per
@@ -309,14 +309,14 @@ func (e *Engine) IterateMinimalModels(limit int) ModelIterator {
 // (formula inference) do so via MMEntails, which checks Z-variants
 // with a dedicated SAT call before blocking a signature.
 func (e *Engine) IterateMinimalModelsPZ(part Partition, limit int) ModelIterator {
-	s := &sigSearch{e: e, p: e.Ora.Prefix(e.DB.N(), e.cnf), part: part}
+	s := &sigSearch{e: e, p: e.Ora.Prefix(e.n, e.cnf), part: part}
 	return &stepIter{step: s.step, release: s.release, limit: limit}
 }
 
 // IterateMinimalModelsPar is IterateMinimalModels across the
 // region-decomposed worker pool.
 func (e *Engine) IterateMinimalModelsPar(limit int, opt ParOptions) ModelIterator {
-	return e.IterateMinimalModelsPZPar(FullMin(e.DB.N()), limit, opt)
+	return e.IterateMinimalModelsPZPar(FullMin(e.n), limit, opt)
 }
 
 // IterateMinimalModelsPZPar is IterateMinimalModelsPZ across the

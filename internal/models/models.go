@@ -60,10 +60,16 @@ func (p Partition) Valid() bool {
 	return u.Count() == u.Len()
 }
 
-// Engine bundles a database with an NP oracle and caches its CNF.
+// Engine bundles a clausal form over n variables with an NP oracle.
+// DB is the database the clauses came from; an engine built by
+// NewEngineCNF has none, and then only the searches that read the
+// clauses alone (model and minimal-model enumeration, minimality,
+// minimisation, UMINSAT) apply — IsModel and the entailment tests
+// need the database.
 type Engine struct {
 	DB  *db.DB
 	Ora *oracle.NP
+	n   int
 	cnf logic.CNF
 }
 
@@ -72,19 +78,19 @@ func NewEngine(d *db.DB, o *oracle.NP) *Engine {
 	if o == nil {
 		o = oracle.NewNP()
 	}
-	return &Engine{DB: d, Ora: o, cnf: d.ToCNF()}
+	return &Engine{DB: d, Ora: o, n: d.N(), cnf: d.ToCNF()}
 }
 
-// NewEngineCNF returns an engine reusing an already-built clausal form
-// (e.g. a compiled artifact's CNF) instead of recomputing d.ToCNF().
-// The engine never modifies cnf (searches load it into oracle prefixes
-// and add their own clauses there), so one CNF may back many engines
-// concurrently.
-func NewEngineCNF(d *db.DB, o *oracle.NP, cnf logic.CNF) *Engine {
+// NewEngineCNF returns an engine over an already-built clausal form on
+// n variables (e.g. a compiled artifact's CNF, or a translation that
+// has no database of its own). The engine never modifies cnf (searches
+// load it into oracle prefixes and add their own clauses there), so
+// one CNF may back many engines concurrently.
+func NewEngineCNF(n int, o *oracle.NP, cnf logic.CNF) *Engine {
 	if o == nil {
 		o = oracle.NewNP()
 	}
-	return &Engine{DB: d, Ora: o, cnf: cnf}
+	return &Engine{Ora: o, n: n, cnf: cnf}
 }
 
 // CNF returns the database's cached clausal form.
@@ -93,7 +99,7 @@ func (e *Engine) CNF() logic.CNF { return e.cnf }
 // HasModel reports whether the database is satisfiable (one NP call)
 // and returns a model if so.
 func (e *Engine) HasModel() (bool, logic.Interp) {
-	return e.Ora.Sat(e.DB.N(), e.cnf)
+	return e.Ora.Sat(e.n, e.cnf)
 }
 
 // IsModel reports whether m satisfies the database (polynomial, no
@@ -103,14 +109,14 @@ func (e *Engine) IsModel(m logic.Interp) bool { return e.DB.Sat(m) }
 // IsMinimal reports whether model m is minimal: no model N ⊊ M
 // (on all atoms). One NP call. The caller must ensure m is a model.
 func (e *Engine) IsMinimal(m logic.Interp) bool {
-	return e.IsMinimalPZ(m, FullMin(e.DB.N()))
+	return e.IsMinimalPZ(m, FullMin(e.n))
 }
 
 // IsMinimalPZ reports whether model m is (P;Z)-minimal: there is no
 // model N of DB with N∩Q = M∩Q and N∩P ⊊ M∩P. One NP call on the
 // shrink query (suffix.shrink) over the database CNF.
 func (e *Engine) IsMinimalPZ(m logic.Interp, part Partition) bool {
-	p := e.Ora.Prefix(e.DB.N(), e.cnf)
+	p := e.Ora.Prefix(e.n, e.cnf)
 	defer p.Release()
 	return e.isMinimalIn(p, new(suffix), m, part)
 }
@@ -118,7 +124,7 @@ func (e *Engine) IsMinimalPZ(m logic.Interp, part Partition) bool {
 // isMinimalIn is IsMinimalPZ against the loaded database prefix p,
 // building the query suffix in buf.
 func (e *Engine) isMinimalIn(p *oracle.Prefix, buf *suffix, m logic.Interp, part Partition) bool {
-	query, ok := buf.shrink(m, part, e.DB.N())
+	query, ok := buf.shrink(m, part, e.n)
 	if !ok {
 		// M∩P is already empty: nothing can shrink.
 		return true
@@ -202,13 +208,13 @@ func (b *suffix) block(m logic.Interp, part Partition, n int) logic.Clause {
 // SAT calls (each call either finds a strictly smaller model or proves
 // minimality). At most |m| + 1 NP calls.
 func (e *Engine) Minimize(m logic.Interp) logic.Interp {
-	return e.MinimizePZ(m, FullMin(e.DB.N()))
+	return e.MinimizePZ(m, FullMin(e.n))
 }
 
 // MinimizePZ shrinks m to a (P;Z)-minimal model N with N∩P ⊆ M∩P and
 // N∩Q = M∩Q.
 func (e *Engine) MinimizePZ(m logic.Interp, part Partition) logic.Interp {
-	p := e.Ora.Prefix(e.DB.N(), e.cnf)
+	p := e.Ora.Prefix(e.n, e.cnf)
 	defer p.Release()
 	return e.minimizeAgainst(p, new(suffix), m.Clone(), part)
 }
@@ -241,7 +247,7 @@ func (s *sigSearch) step() (logic.Interp, bool) {
 	}
 	min := s.e.minimizeAgainst(s.p, &s.buf, m, s.part)
 	// Block every model with the same Q part and P part ⊇ min∩P.
-	if block := s.buf.block(min, s.part, s.e.DB.N()); len(block) == 0 {
+	if block := s.buf.block(min, s.part, s.e.n); len(block) == 0 {
 		s.release() // unique signature (∅ on P, no Q): done after min
 	} else {
 		s.p.Add(block)
@@ -288,7 +294,7 @@ func signatureBlock(dst logic.Clause, m logic.Interp, part Partition, n int) log
 // shrinking P). Each step is one NP call on p plus a shrink suffix
 // built in buf.
 func (e *Engine) minimizeAgainst(p *oracle.Prefix, buf *suffix, m logic.Interp, part Partition) logic.Interp {
-	n := e.DB.N()
+	n := e.n
 	cur := m
 	for {
 		query, ok := buf.shrink(cur, part, n)
@@ -329,7 +335,7 @@ func (e *Engine) AtomFalseInAllMinimal(x logic.Atom, part Partition) bool {
 // blocked and the search continues). DB ∧ ¬F and its blocking clauses
 // are loaded once in an oracle prefix, and so is DB for minimising.
 func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic.Interp) {
-	n := e.DB.N()
+	n := e.n
 	voc := e.DB.Voc.Clone()
 	neg := logic.TseitinNeg(f, voc)
 	query := e.Ora.Prefix(voc.Size(), e.cnf)
@@ -391,7 +397,7 @@ func (e *Engine) MMEntailsWitness(f *logic.Formula, part Partition) (bool, logic
 // model not above min.) All three steps run on one loaded prefix of
 // the database CNF.
 func (e *Engine) UniqueMinimalModel() (bool, logic.Interp) {
-	n := e.DB.N()
+	n := e.n
 	p := e.Ora.Prefix(n, e.cnf)
 	defer p.Release()
 	ok, m := p.Sat(nil)

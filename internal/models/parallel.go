@@ -95,7 +95,7 @@ func (e *Engine) minimalModelsPZPar(part Partition, limit int, opt ParOptions, y
 		if em.done() {
 			return
 		}
-		n := e.DB.N()
+		n := e.n
 		// Region query: DB ∧ ¬p_w (w before i) ∧ p_i (omitted for R_∅).
 		s := &sigSearch{e: e, p: e.Ora.Prefix(n, e.cnf), part: part}
 		defer s.release()
@@ -143,7 +143,7 @@ const enumCubeBits = 6
 // serial path's single build — wall-clock, not the count shape, is
 // what changes). Yield order is nondeterministic.
 func (e *Engine) enumerateModelsPar(limit int, opt ParOptions, yield func(logic.Interp) bool) {
-	n := e.DB.N()
+	n := e.n
 	k := min(n, enumCubeBits)
 	em := &emitter{yield: yield, limit: limit}
 

@@ -47,9 +47,10 @@ func TestClassOf(t *testing.T) {
 		{disj, "GCWA", session.KindModel, ClassPoly},       // positive-existence fast path
 		{disj, "CWA", session.KindLiteral, ClassNP},        // coNP cell
 		{disj, "DDR", session.KindLiteral, ClassNP},
-		{disj, "DDR", session.KindModel, ClassPoly},    // P existence cell
-		{disj, "DSM", session.KindModel, ClassPoly},    // Σᵖ₂ cell, but positive-existence fast path applies
-		{disj, "PDSM", session.KindModel, ClassSigma2}, // no fast path: the Σᵖ₂ cell stands
+		{disj, "DDR", session.KindModel, ClassPoly},      // P existence cell
+		{disj, "DSM", session.KindModel, ClassPoly},      // Σᵖ₂ cell, but positive-existence fast path applies
+		{disj, "PDSM", session.KindModel, ClassPoly},     // positive-existence fast path, as for DSM
+		{disj, "PDSM", session.KindLiteral, ClassSigma2}, // no fast path: the Πᵖ₂ cell stands
 	}
 	for _, c := range cases {
 		if got := ClassOf(c.comp, c.sem, c.kind); got != c.want {

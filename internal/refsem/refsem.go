@@ -545,29 +545,34 @@ func sat3Reduct(d *db.DB, p, q logic.Partial) bool {
 	return true
 }
 
-// PDSM returns the partial stable models, from the definition.
+// PDSM returns the partial stable models, from the definition: p ⊨₃
+// DB^p and no q < p in the truth order has q ⊨₃ DB^p.
 func PDSM(d *db.DB) []logic.Partial {
-	all := allPartials(d.N())
+	n := d.N()
+	q := logic.NewPartial(n)
 	var out []logic.Partial
-	for _, p := range all {
-		if !sat3Reduct(d, p, p) {
-			continue
-		}
-		minimal := true
-		for _, q := range all {
-			if q.Equal(p) || !q.TruthLeq(p) {
-				continue
-			}
-			if sat3Reduct(d, p, q) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
+	for _, p := range allPartials(n) {
+		if sat3Reduct(d, p, p) && !belowSat3Reduct(d, p, q, 0) {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// belowSat3Reduct reports whether some q < p has q ⊨₃ DB^p. It walks
+// exactly the q ≤ p: q holds the values chosen for the atoms before v,
+// and atom v takes each value up to p(v).
+func belowSat3Reduct(d *db.DB, p, q logic.Partial, v int) bool {
+	if v == p.N() {
+		return !q.Equal(p) && sat3Reduct(d, p, q)
+	}
+	for tv := logic.False; tv <= p.Value(logic.Atom(v)); tv++ {
+		q.SetValue(logic.Atom(v), tv)
+		if belowSat3Reduct(d, p, q, v+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // SameModelSet reports whether the two model slices contain the same

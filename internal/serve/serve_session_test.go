@@ -40,8 +40,11 @@ func TestServeSessionVerdictsMatchLibrary(t *testing.T) {
 		// General disjunctive database: warm incremental session.
 		{"warm", "GCWA", "a | b. b | c.", "-a", "session"},
 		{"warm-circ", "CIRC", "a | b. a | c.", "-b", "session"},
-		// PDSM is never handled by the session layer: fresh path.
+		// PDSM on a disjunctive database: no fast path, fresh path.
 		{"fresh-pdsm", "PDSM", "a | b.", "-a", ""},
+		// PDSM on a stratified normal database: the total well-founded
+		// model is its unique partial stable model.
+		{"fast-pdsm", "PDSM", "a :- not b. c :- a.", "c", "fast"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -137,7 +137,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// consumer, and streams don't participate in retry/breaker logic.
 	var eng *models.Engine
 	if comp != nil {
-		eng = models.NewEngineCNF(comp.D, o, comp.CNF)
+		eng = models.NewEngineCNF(comp.D.N(), o, comp.CNF)
 	} else {
 		eng = models.NewEngine(d, o)
 	}

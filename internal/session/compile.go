@@ -44,7 +44,7 @@ const (
 	// FragDefinite: every clause is definite (one head atom, no
 	// negation, no integrity clause). The DB has the single least model
 	// computed by unit propagation, and every registered semantics
-	// except PDSM collapses to it.
+	// collapses to it.
 	FragDefinite
 	// FragHorn: at most one head atom per clause and no negation, with
 	// at least one integrity clause. The definite subset has a least

@@ -6,32 +6,35 @@ import "disjunct/internal/logic"
 // collapses onto the fragment's fixpoint model, so their three
 // decision problems are answered by evaluation — zero NP calls.
 //
-// PDSM is excluded everywhere: it rejects databases above its
-// enumeration bound (ErrUnsupported), so a fast path answering for it
-// would diverge from the fresh engine on large fragment instances.
-// PERF and ICWA are excluded from the Horn fragment because they are
+// PDSM answers 3-valued, but on these fragments its partial stable
+// models are total: the least model on definite and Horn databases (the
+// least 3-valued model of a program without negation is 2-valued), the
+// total well-founded model on stratified ones, so evaluation on the
+// fixpoint model gives its verdict. PERF and ICWA are excluded from the Horn fragment because they are
 // undefined in the presence of integrity clauses (the fresh path
 // returns ErrUnsupported); they join on the fragments they accept.
 var (
 	// fastDefinite: the unique minimal model IS the least model, every
 	// closure/possible-world/stable/perfect construction yields exactly
-	// it, and the DB is always consistent.
+	// it, it is the unique partial stable model, and the DB is always
+	// consistent.
 	fastDefinite = map[string]bool{
 		"GCWA": true, "CCWA": true, "EGCWA": true, "ECWA": true, "CIRC": true,
 		"CWA": true, "DSM": true, "DDR": true, "WGCWA": true,
-		"PWS": true, "PMS": true, "PERF": true, "ICWA": true,
+		"PWS": true, "PMS": true, "PERF": true, "ICWA": true, "PDSM": true,
 	}
 	// fastHorn: single-head positive clauses plus denials — the model
 	// set is {least model} when the denials hold there, ∅ otherwise.
 	fastHorn = map[string]bool{
 		"GCWA": true, "CCWA": true, "EGCWA": true, "ECWA": true, "CIRC": true,
 		"CWA": true, "DSM": true, "DDR": true, "WGCWA": true,
-		"PWS": true, "PMS": true,
+		"PWS": true, "PMS": true, "PDSM": true,
 	}
 	// fastStrat: stratified normal programs have a total well-founded
-	// model that is the unique stable model and the perfect model.
+	// model that is the unique stable model, the perfect model and the
+	// unique partial stable model.
 	fastStrat = map[string]bool{
-		"DSM": true, "PERF": true, "ICWA": true,
+		"DSM": true, "PERF": true, "ICWA": true, "PDSM": true,
 	}
 	// fastPosExistence: on a positive database without integrity
 	// clauses the all-true interpretation is a model, every minimal /
@@ -41,11 +44,11 @@ var (
 	// trichotomy pins the same collapse). Applies on the general
 	// fragment, where the other allowlists don't. CWA is excluded (its
 	// closure of a∨b is already inconsistent, existence is coNP-hard
-	// even positive) and PDSM is excluded for its enumeration bound.
+	// even positive).
 	fastPosExistence = map[string]bool{
 		"GCWA": true, "CCWA": true, "EGCWA": true, "ECWA": true, "CIRC": true,
 		"DSM": true, "DDR": true, "WGCWA": true,
-		"PWS": true, "PMS": true, "PERF": true, "ICWA": true,
+		"PWS": true, "PMS": true, "PERF": true, "ICWA": true, "PDSM": true,
 	}
 )
 
