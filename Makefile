@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s ./internal/sat
 	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s ./internal/semantics/pws
+	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s ./internal/semantics/pdsm
 
 clean:
 	$(GO) clean ./...
