@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFormula -fuzztime=30s .
 	$(GO) test -fuzz=FuzzParseProgram -fuzztime=30s .
 	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzHandoffImport -fuzztime=30s ./internal/session
 	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s ./internal/sat
 	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s ./internal/semantics/pws
 	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s ./internal/semantics/pdsm

@@ -107,9 +107,8 @@ func (r *Router) JoinNode(ctx context.Context, baseURL string) (JoinReport, erro
 		}
 		rep.Donors[donor] = len(h.Artifacts) + len(h.Verdicts)
 		for _, a := range h.Artifacts {
-			k := a.Raw + "\x00" + a.Key
-			if !seenArt[k] {
-				seenArt[k] = true
+			if !seenArt[a.Raw] {
+				seenArt[a.Raw] = true
 				union.Artifacts = append(union.Artifacts, a)
 			}
 		}

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"disjunct/internal/cache"
 	"disjunct/internal/db"
 	"disjunct/internal/faults"
 	"disjunct/internal/serve"
@@ -482,11 +481,10 @@ func (r *Router) probeOne(n *node) {
 }
 
 // routeKey maps a request's database text to its routing key: the raw
-// compiled-DB fingerprint (cache.RawKey over the grounded CNF), which
+// compiled-DB fingerprint (session.RawKey over the grounded CNF), which
 // is exactly the session key workers memoize under — so routing on it
-// gives perfect warm-session locality without the expensive canonical
-// labeling. Unparseable texts route on the text itself; the owning
-// worker will produce the typed 400.
+// gives perfect warm-session locality. Unparseable texts route on the
+// text itself; the owning worker will produce the typed 400.
 func (r *Router) routeKey(text string) string {
 	r.keyMu.Lock()
 	if el, ok := r.keyIdx[text]; ok {
@@ -501,7 +499,7 @@ func (r *Router) routeKey(text string) string {
 
 	key := "text:" + text
 	if d, err := db.Parse(text); err == nil {
-		key = cache.RawKey(d.N(), d.ToCNF())
+		key = session.RawKey(d.N(), d.ToCNF())
 	}
 
 	r.keyMu.Lock()

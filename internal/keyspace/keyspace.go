@@ -7,7 +7,7 @@
 // from its ring — so the hash and the range arithmetic live in this
 // leaf package instead of being duplicated per layer.
 //
-// Keys are compiled-database fingerprints (cache.RawKey output), but
+// Keys are compiled-database fingerprints (session.RawKey output), but
 // nothing here depends on that: any string key hashes to a point on
 // the 64-bit circle, and a Range is a half-open arc (Lo, Hi] of that
 // circle, wrapping through zero when Lo >= Hi.

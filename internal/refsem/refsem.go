@@ -418,7 +418,7 @@ func Preferable(n, m logic.Interp, pri *strat.Priority) bool {
 
 // PERF returns the perfect models of DB (no integrity clauses).
 func PERF(d *db.DB) []logic.Interp {
-	pri := strat.NewPriority(d)
+	pri := strat.NewPriority(d, nil)
 	all := Models(d)
 	var out []logic.Interp
 	for _, m := range all {

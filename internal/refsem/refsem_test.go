@@ -217,7 +217,7 @@ func TestAllInterpsCount(t *testing.T) {
 
 func TestPreferableGeneralizesSubset(t *testing.T) {
 	d := dbtest.MustParse("a | b.")
-	pri := strat.NewPriority(d)
+	pri := strat.NewPriority(d, nil)
 	sub := logic.InterpOf(2, 0)
 	sup := logic.InterpOf(2, 0, 1)
 	if !Preferable(sub, sup, pri) {

@@ -24,9 +24,10 @@ import (
 // typed budget interruption, or a refusal of the database's class
 // (ErrUnsupported, or ErrNotStratifiable from ICWA). A procedure whose
 // super-polynomial work runs outside the oracle's budget checks answers
-// late, or not at all, here. PWS and PMS are also swept on a 3000-atom
-// definite cycle entered by one disjunctive fact, where an encoding
-// that grows faster than n·log n would answer late.
+// late, or not at all, here. PWS, PMS and PERF are also swept on a
+// 3000-atom definite cycle entered by one disjunctive fact, where an
+// encoding that grows faster than n·log n, or PERF's cubic priority
+// closure run without budget polls, would answer late.
 func TestDeadlineSweep(t *testing.T) {
 	const deadline, slack = 50 * time.Millisecond, 250 * time.Millisecond
 	type class struct {
@@ -49,7 +50,7 @@ func TestDeadlineSweep(t *testing.T) {
 			classes = append(classes, class{fmt.Sprintf("%s n=%d", c.name, n), gen.Random(rng, c.cfg(n, 3*n/2)), nil})
 		}
 	}
-	classes = append(classes, class{"cycle n=3000", longCycle(3000), []string{"PWS", "PMS"}})
+	classes = append(classes, class{"cycle n=3000", longCycle(3000), []string{"PWS", "PMS", "PERF"}})
 	for _, class := range classes {
 		d, n := class.d, class.d.N()
 		a, b, c := logic.AtomF(0), logic.AtomF(logic.Atom(n/2)), logic.AtomF(logic.Atom(n-1))

@@ -72,7 +72,7 @@ func (s *Sem) check(d *db.DB) error {
 // atom of m must leave).
 func (s *Sem) IsPerfect(d *db.DB, m logic.Interp, pri *strat.Priority) bool {
 	if pri == nil {
-		pri = strat.NewPriority(d)
+		pri = strat.NewPriority(d, s.opts.Oracle.Budget())
 	}
 	n := d.N()
 	cnf := d.ToCNF()
@@ -112,7 +112,7 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 	if err := s.check(d); err != nil {
 		return 0, err
 	}
-	pri := strat.NewPriority(d)
+	pri := strat.NewPriority(d, s.opts.Oracle.Budget())
 	eng := models.NewEngine(d, s.opts.Oracle)
 	_, err = models.Drain(eng.IterateMinimalModels(0), func(m logic.Interp) bool {
 		if !s.IsPerfect(d, m, pri) {

@@ -142,7 +142,7 @@ func TestIsPerfectAgainstReference(t *testing.T) {
 	s := New(core.Options{})
 	for iter := 0; iter < 150; iter++ {
 		d := gen.Random(rng, gen.NormalNoIC(2+rng.Intn(4), 1+rng.Intn(6)))
-		pri := strat.NewPriority(d)
+		pri := strat.NewPriority(d, nil)
 		all := refsem.Models(d)
 		for _, m := range all {
 			want := true
@@ -163,7 +163,7 @@ func TestIsPerfectAgainstReference(t *testing.T) {
 func TestPriorityRelation(t *testing.T) {
 	// a ← b ∧ ¬c: a ≤ b, a < c.
 	d := dbtest.MustParse("a :- b, not c.")
-	pri := strat.NewPriority(d)
+	pri := strat.NewPriority(d, nil)
 	a, _ := d.Voc.Lookup("a")
 	b, _ := d.Voc.Lookup("b")
 	c, _ := d.Voc.Lookup("c")

@@ -540,7 +540,7 @@ func (s *Server) decodeQuery(kind string, r *http.Request) (parsedQuery, int, *E
 	var d *db.DB
 	if s.sessions != nil {
 		// Hot databases skip grounding entirely: the compiled artifact
-		// (parse, CNF, classification, canonical key) is cached by exact
+		// (parse, CNF, fingerprint, classification) is cached by exact
 		// request text and shared read-only across requests.
 		if comp, ok := s.sessions.Lookup(req.DB); ok {
 			pq.comp, d = comp, comp.D

@@ -2,8 +2,8 @@
 // near-free. It layers three amortizations over the per-request
 // pipeline of internal/serve:
 //
-//  1. A compiled-DB artifact cache: grounding, CNF construction,
-//     canonical keying, and fragment classification are computed once
+//  1. A compiled-DB artifact cache: grounding, CNF construction, the
+//     RawKey fingerprint and fragment classification are computed once
 //     per distinct database text and shared by every later request
 //     (sharded, goroutine-safe, byte-accounted LRU).
 //  2. A fragment-aware fast path: databases the compiler classifies as
@@ -26,7 +26,8 @@
 package session
 
 import (
-	"disjunct/internal/cache"
+	"encoding/binary"
+
 	"disjunct/internal/db"
 	"disjunct/internal/fixpoint"
 	"disjunct/internal/logic"
@@ -86,9 +87,6 @@ type Compiled struct {
 	// Raw means the indexed CNF is byte-identical, so verdicts and
 	// variable maps transfer between requests verbatim.
 	Raw string
-	// Key is the canonical isomorphism-class key (cache.Canonicalize); used
-	// for stats and cross-text dedup reporting, not for verdict reuse.
-	Key cache.Key
 	// HasNeg / HasIC are the applicability features of the database.
 	HasNeg bool
 	HasIC  bool
@@ -112,46 +110,44 @@ type Compiled struct {
 // text is only used for size accounting; the Manager keys artifacts by
 // it).
 func Compile(text string, d *db.DB) *Compiled {
-	return compile(text, d, "", false)
-}
-
-// CompileWithKey builds the artifact reusing a canonical key persisted
-// by a previous process, skipping the canonical labeling — the only
-// super-polynomial-in-practice step of compilation. The caller (the
-// store prewarm path) guarantees the key was computed from the same
-// database text; everything else (grounding, fingerprint, fragment
-// classification, fixpoint models) is re-derived here, so a stale or
-// even wrong key can never change a verdict — it only mis-reports
-// cross-text dedup stats.
-func CompileWithKey(text string, d *db.DB, key cache.Key) *Compiled {
-	return compile(text, d, key, true)
-}
-
-func compile(text string, d *db.DB, key cache.Key, haveKey bool) *Compiled {
 	cnf := d.ToCNF()
 	n := d.N()
 	c := &Compiled{
 		D:          d,
 		N:          n,
 		CNF:        cnf,
-		Raw:        cache.RawKey(n, cnf),
+		Raw:        RawKey(n, cnf),
 		HasNeg:     d.HasNegation(),
 		HasIC:      d.HasIntegrityClauses(),
 		Consistent: true,
 	}
-	if haveKey {
-		c.Key = key
-	} else {
-		c.Key = cache.Canonicalize(n, cnf).Key
-	}
 	c.classify()
-	bytes := int64(len(text)) + int64(len(c.Raw)) + int64(len(c.Key)) + 256
+	bytes := int64(len(text)) + int64(len(c.Raw)) + 256
 	for _, cl := range cnf {
 		bytes += 8 + 4*int64(len(cl))
 	}
 	bytes += int64(n) // interps, maps
 	c.Bytes = bytes
 	return c
+}
+
+// RawKey is the exact fingerprint of a CNF over nVars variables: the
+// variable count and the clause sequence verbatim (order, duplicates
+// and all), uvarint-framed. It keys the session's warm sessions and
+// verdict memos, the store's verdicts and estimates, the router's
+// consistent-hash ring and the keyspace arcs, so its bytes are part of
+// the persisted and on-the-wire format.
+func RawKey(nVars int, cnf logic.CNF) string {
+	buf := make([]byte, 0, 16+4*len(cnf))
+	buf = binary.AppendUvarint(buf, uint64(nVars))
+	buf = binary.AppendUvarint(buf, uint64(len(cnf)))
+	for _, c := range cnf {
+		buf = binary.AppendUvarint(buf, uint64(len(c)))
+		for _, l := range c {
+			buf = binary.AppendUvarint(buf, uint64(l))
+		}
+	}
+	return string(buf)
 }
 
 // classify determines the fragment and precomputes its fixpoint model.

@@ -1,0 +1,106 @@
+package session_test
+
+import (
+	"encoding/json"
+	"testing"
+
+	"disjunct/internal/db"
+	"disjunct/internal/session"
+)
+
+// legacyEnvelope is the handoff wire format of peers whose artifacts
+// still carried a canonical class key.
+type legacyEnvelope struct {
+	Artifacts []legacyArtifact         `json:"artifacts"`
+	Verdicts  []session.HandoffVerdict `json:"verdicts"`
+}
+
+type legacyArtifact struct {
+	Text string `json:"text"`
+	Raw  string `json:"raw"`
+	Key  string `json:"key"`
+	Frag uint8  `json:"frag"`
+}
+
+// legacyJSON re-encodes h in the legacy format, with a non-empty key
+// on every artifact.
+func legacyJSON(t testing.TB, h session.Handoff) []byte {
+	var env legacyEnvelope
+	for _, a := range h.Artifacts {
+		env.Artifacts = append(env.Artifacts, legacyArtifact{a.Text, a.Raw, "\x03\x02\x00legacy", a.Frag})
+	}
+	env.Verdicts = h.Verdicts
+	b, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestHandoffImportLegacyEnvelope: an envelope from a peer that still
+// sends a "key" on every artifact imports every artifact and verdict.
+func TestHandoffImportLegacyEnvelope(t *testing.T) {
+	texts := []string{"a | b. b | c.", "p | q. q.", "x | y. y | z. z."}
+	src := session.NewManager(session.Config{})
+	warmQueries(t, src, texts)
+	h := src.Export()
+
+	var got session.Handoff
+	if err := json.Unmarshal(legacyJSON(t, h), &got); err != nil {
+		t.Fatal(err)
+	}
+	arts, verds := session.NewManager(session.Config{}).Import(got)
+	if arts != len(texts) || verds != len(h.Verdicts) {
+		t.Fatalf("imported %d artifacts and %d verdicts, want %d and %d", arts, verds, len(texts), len(h.Verdicts))
+	}
+}
+
+// FuzzHandoffImport decodes arbitrary bytes as a handoff envelope and
+// imports it into a fresh manager. Import must never panic, never
+// accept more artifacts or verdicts than the envelope holds, and every
+// artifact it caches must equal a fresh compile of its text.
+func FuzzHandoffImport(f *testing.F) {
+	src := session.NewManager(session.Config{})
+	warmQueries(f, src, []string{"a | b. b | c.", "p :- not q. q :- not p."})
+	h := src.Export()
+	cur, err := json.Marshal(h)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cur)
+	f.Add(legacyJSON(f, h))
+	f.Add([]byte(`{"artifacts":[{"text":"a.","raw":"junk","frag":1}],"verdicts":[{"raw":"r","sem":"GCWA","memo_key":"q","holds":true}]}`))
+	f.Add([]byte(`{"artifacts":[{"text":"not ( parseable"}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h session.Handoff
+		if json.Unmarshal(data, &h) != nil {
+			return
+		}
+		m := session.NewManager(session.Config{})
+		arts, verds := m.Import(h)
+		if arts < 0 || arts > len(h.Artifacts) || verds < 0 || verds > len(h.Verdicts) {
+			t.Fatalf("Import accepted %d/%d artifacts and %d/%d verdicts", arts, len(h.Artifacts), verds, len(h.Verdicts))
+		}
+		cached := 0
+		for _, a := range h.Artifacts {
+			got, ok := m.Lookup(a.Text)
+			if !ok {
+				continue
+			}
+			cached++
+			d, err := db.Parse(a.Text)
+			if err != nil {
+				t.Fatalf("unparseable text %q cached", a.Text)
+			}
+			if want := session.Compile(a.Text, d); got.Raw != want.Raw || got.Frag != want.Frag {
+				t.Fatalf("cached artifact for %q differs from a fresh compile", a.Text)
+			}
+		}
+		if cached > arts {
+			t.Fatalf("%d artifacts cached, Import reported %d", cached, arts)
+		}
+	})
+}

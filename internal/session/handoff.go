@@ -1,7 +1,6 @@
 package session
 
 import (
-	"disjunct/internal/cache"
 	"disjunct/internal/db"
 	"disjunct/internal/store"
 )
@@ -11,8 +10,8 @@ import (
 // worth shipping to the ring successors rather than discarding,
 // because recomputing it costs NP/Σ₂ᵖ solver time. Export snapshots
 // that state as plain data; Import rebuilds it on the successor:
-// artifacts are recompiled from text with the exported canonical key
-// (skipping the expensive labeling, exactly like Prewarm), and
+// artifacts are recompiled from text and cross-checked against the
+// shipped fingerprint and fragment (exactly like Prewarm), and
 // verdicts are staged as pending seeds that the next warm-session
 // creation for their (fingerprint, semantics) pair folds into its
 // memo. Handoff is an optimization with a safety net, never a
@@ -23,7 +22,6 @@ import (
 type HandoffArtifact struct {
 	Text string `json:"text"`
 	Raw  string `json:"raw"`
-	Key  string `json:"key"`
 	Frag uint8  `json:"frag"`
 }
 
@@ -72,7 +70,6 @@ func (m *Manager) Export() Handoff {
 		h.Artifacts = append(h.Artifacts, HandoffArtifact{
 			Text: an.text,
 			Raw:  an.comp.Raw,
-			Key:  string(an.comp.Key),
 			Frag: uint8(an.comp.Frag),
 		})
 	}
@@ -114,11 +111,11 @@ func (m *Manager) Export() Handoff {
 }
 
 // Import absorbs an exported slice of another worker's warm state.
-// Artifacts re-parse and recompile with the shipped canonical key (the
-// Prewarm path: cheap, with a fragment cross-check that rejects
-// records from a different compiler vintage). Verdicts land in the
-// pending-seed staging area keyed by (fingerprint, semantics); the
-// next session() for that pair folds them into its memo. Both kinds
+// Artifacts re-parse and recompile (the Prewarm path: polynomial, with
+// a fingerprint and fragment cross-check that rejects records from a
+// different compiler vintage). Verdicts land in the pending-seed
+// staging area keyed by (fingerprint, semantics); the next session()
+// for that pair folds them into its memo. Both kinds
 // are also written through to the local store when one is configured,
 // so the handed-off state survives this process too. Returns the
 // counts of artifacts and verdicts accepted.
@@ -128,14 +125,14 @@ func (m *Manager) Import(h Handoff) (arts, verds int) {
 		if err != nil {
 			continue // foreign grammar vintage: successor re-derives on demand
 		}
-		comp := CompileWithKey(a.Text, d, cache.Key(a.Key))
+		comp := Compile(a.Text, d)
 		if uint8(comp.Frag) != a.Frag || comp.Raw != a.Raw {
 			continue // stale record: re-derive on demand
 		}
 		m.insert(a.Text, comp)
 		m.prewarmedArtifacts.Add(1)
 		if st := m.cfg.Store; st != nil {
-			st.PutArtifact(store.Artifact{Text: a.Text, Key: a.Key, Frag: a.Frag})
+			st.PutArtifact(store.Artifact{Text: a.Text, Frag: a.Frag})
 		}
 		arts++
 	}

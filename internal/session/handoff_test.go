@@ -15,7 +15,7 @@ import (
 
 // warmQueries drives a few warm-eligible GCWA literal queries so the
 // manager has artifacts and memoized verdicts to export.
-func warmQueries(t *testing.T, m *session.Manager, texts []string) map[string]bool {
+func warmQueries(t testing.TB, m *session.Manager, texts []string) map[string]bool {
 	t.Helper()
 	verdicts := map[string]bool{}
 	for _, text := range texts {
@@ -148,7 +148,7 @@ func TestHandoffImportRejectsStaleArtifacts(t *testing.T) {
 	d, _ := db.Parse(text)
 	comp := session.Compile(text, d)
 	h := session.Handoff{Artifacts: []session.HandoffArtifact{{
-		Text: text, Raw: comp.Raw, Key: string(comp.Key), Frag: uint8(comp.Frag) + 1,
+		Text: text, Raw: comp.Raw, Frag: uint8(comp.Frag) + 1,
 	}}}
 	dst := session.NewManager(session.Config{})
 	arts, _ := dst.Import(h)
@@ -156,7 +156,7 @@ func TestHandoffImportRejectsStaleArtifacts(t *testing.T) {
 		t.Fatalf("stale artifact accepted: %d", arts)
 	}
 	h2 := session.Handoff{Artifacts: []session.HandoffArtifact{{
-		Text: "not ( parseable", Raw: "junk", Key: "junk", Frag: 0,
+		Text: "not ( parseable", Raw: "junk", Frag: 0,
 	}}}
 	if arts, _ := dst.Import(h2); arts != 0 {
 		t.Fatalf("unparseable artifact accepted: %d", arts)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"disjunct/internal/budget"
-	"disjunct/internal/cache"
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
@@ -71,9 +70,8 @@ type Config struct {
 	// same-DB queries arriving within it execute back-to-back on one
 	// checked-out engine (default 2ms).
 	BatchWindow time.Duration
-	// Store is the optional disk-backed tier: compile misses fall
-	// through to it (reusing the persisted canonical key instead of
-	// re-canonicalizing), fresh compiles and completed warm verdicts are
+	// Store is the optional disk-backed tier: compile misses are
+	// checked against it, fresh compiles and completed warm verdicts are
 	// written behind, and Prewarm loads it wholesale. Nil disables
 	// persistence.
 	Store *store.Store
@@ -115,9 +113,10 @@ type Stats struct {
 	ActiveCheckouts   int64 // gauge: sessions currently checked out
 	Sessions          int64 // gauge: warm sessions resident
 
-	// Store-tier counters (all zero when no store is configured).
-	ColdCompiles       int64 // compiles that ran full canonical labeling
-	StoreArtifactHits  int64 // compile misses answered by the store's key
+	// Store-tier counters. Without a store every compile is cold and
+	// the others stay zero.
+	ColdCompiles       int64 // compiles the store did not answer
+	StoreArtifactHits  int64 // compile misses whose text the store held
 	PrewarmedArtifacts int64 // artifacts loaded wholesale by Prewarm
 	StoreVerdictSeeds  int64 // memo entries seeded from persisted verdicts
 }
@@ -279,29 +278,23 @@ func (m *Manager) insert(text string, comp *Compiled) *Compiled {
 	return comp
 }
 
-// compileFor compiles a database text, falling through to the store on
-// a cache miss: a persisted artifact for the exact text supplies the
-// canonical key, skipping the expensive labeling (a "warm" compile).
-// Cold compiles are written behind so the next process skips them.
+// compileFor compiles a database text on a cache miss and checks it
+// against the store: a persisted artifact for the exact text whose
+// fragment agrees is a store hit. Any other compile is cold and is
+// written behind so the next process's Prewarm loads it.
 func (m *Manager) compileFor(text string, d *db.DB) *Compiled {
-	if st := m.cfg.Store; st != nil {
-		if a, ok := st.Artifact(text); ok {
-			comp := CompileWithKey(text, d, cache.Key(a.Key))
-			// The fragment is re-derived; agreement with the persisted
-			// record cross-checks that the text→key binding is current. A
-			// mismatch means the record predates a compiler change — fall
-			// through to a cold compile and repair the store.
-			if uint8(comp.Frag) == a.Frag {
-				m.storeArtifactHits.Add(1)
-				return comp
-			}
-		}
-	}
-	m.coldCompiles.Add(1)
 	comp := Compile(text, d)
 	if st := m.cfg.Store; st != nil {
-		st.PutArtifact(store.Artifact{Text: text, Key: string(comp.Key), Frag: uint8(comp.Frag)})
+		// A fragment that disagrees with the persisted record means the
+		// record predates a compiler change: the compile counts as cold
+		// and repairs the store.
+		if a, ok := st.Artifact(text); ok && uint8(comp.Frag) == a.Frag {
+			m.storeArtifactHits.Add(1)
+			return comp
+		}
+		st.PutArtifact(store.Artifact{Text: text, Frag: uint8(comp.Frag)})
 	}
+	m.coldCompiles.Add(1)
 	return comp
 }
 

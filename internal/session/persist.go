@@ -3,19 +3,17 @@ package session
 import (
 	"fmt"
 
-	"disjunct/internal/cache"
 	"disjunct/internal/db"
 	"disjunct/internal/store"
 )
 
 // Prewarm loads every persisted compiled-DB artifact from the store
 // into the compile cache before the process starts taking traffic:
-// each entry's database text is re-parsed (cheap, polynomial) and
-// compiled with the persisted canonical key, skipping the expensive
-// canonical labeling — so a pre-warmed restart answers hot-DB queries
-// with zero cold compiles. Verdict memos are not materialized here;
-// they seed lazily (and cheaply) when the first query creates each
-// warm session.
+// each entry's database text is re-parsed and recompiled (polynomial)
+// and its fragment cross-checked against the record — so a pre-warmed
+// restart answers hot-DB queries with zero cold compiles. Verdict
+// memos are not materialized here; they seed lazily (and cheaply) when
+// the first query creates each warm session.
 //
 // Damaged or stale entries are skipped, not fatal: the store's
 // recovery already dropped torn records, and anything skipped here is
@@ -33,7 +31,7 @@ func (m *Manager) Prewarm() (int, error) {
 		if err != nil {
 			continue // stale grammar or foreign record: re-derive on demand
 		}
-		comp := CompileWithKey(a.Text, d, cache.Key(a.Key))
+		comp := Compile(a.Text, d)
 		if uint8(comp.Frag) != a.Frag {
 			continue // predates a compiler change: re-derive on demand
 		}

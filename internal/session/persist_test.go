@@ -2,6 +2,10 @@ package session
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"disjunct/internal/db"
@@ -185,7 +189,7 @@ func TestStoreFragMismatchRecompiles(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openStore(t, dir)
 	// A forged record: definite text recorded as general.
-	s1.PutArtifact(store.Artifact{Text: definiteDB, Key: "bogus", Frag: uint8(FragGeneral)})
+	s1.PutArtifact(store.Artifact{Text: definiteDB, Frag: uint8(FragGeneral)})
 	s1.Flush()
 
 	m := NewManager(Config{Store: s1})
@@ -201,33 +205,79 @@ func TestStoreFragMismatchRecompiles(t *testing.T) {
 		t.Fatalf("forged record was trusted: %+v", st)
 	}
 	s1.Flush()
-	if a, ok := s1.Artifact(definiteDB); !ok || a.Key == "bogus" {
+	if a, ok := s1.Artifact(definiteDB); !ok || a.Frag != uint8(FragDefinite) {
 		t.Fatalf("store not repaired after cold recompile: %+v ok=%v", a, ok)
 	}
 	s1.Close()
+}
+
+// TestPrewarmKeyedLegacyLog: a store log whose artifact records carry
+// a non-empty canonical class key — the layout written while compiled
+// artifacts had one — reopens with every artifact and verdict, and
+// Prewarm loads every artifact, so the restart compiles nothing cold
+// and answers the persisted queries from the seeded memo.
+func TestPrewarmKeyedLegacyLog(t *testing.T) {
+	// Process 1 supplies real verdict records.
+	s1 := openStore(t, t.TempDir())
+	runWorkload(t, NewManager(Config{Store: s1}))
+	verdicts := s1.AllVerdicts()
+	s1.Close()
+
+	record := func(typ byte, fields []string, last byte) []byte {
+		var p []byte
+		for _, f := range fields {
+			p = binary.AppendUvarint(p, uint64(len(f)))
+			p = append(p, f...)
+		}
+		p = append(p, last)
+		r := binary.AppendUvarint([]byte{typ}, uint64(len(p)))
+		r = binary.LittleEndian.AppendUint32(r, crc32.ChecksumIEEE(p))
+		return append(r, p...)
+	}
+	log := []byte("DDBSTOR1\n")
+	for i, text := range []string{generalDB, definiteDB} {
+		frag := uint8(Compile(text, mustParse(t, text)).Frag)
+		log = append(log, record(1, []string{text, "\x03\x02\x00legacy-key-" + string(rune('a'+i))}, frag)...)
+	}
+	for _, v := range verdicts {
+		holds := byte(0)
+		if v.Holds {
+			holds = 1
+		}
+		log = append(log, record(2, []string{v.Raw, v.Sem, v.MemoKey}, holds)...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "store.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.TornTail || rec.Dropped != 0 || rec.Artifacts != 2 || rec.Verdicts != len(verdicts) {
+		t.Fatalf("recovery = %+v, want 2 artifacts and %d verdicts", rec, len(verdicts))
+	}
+	m := NewManager(Config{Store: s2})
+	if n, err := m.Prewarm(); err != nil || n != 2 {
+		t.Fatalf("Prewarm loaded %d (err %v), want 2", n, err)
+	}
+	ref := collectVerdicts(t, NewManager(Config{}))
+	for q, v := range collectVerdicts(t, m) {
+		if v != ref[q] {
+			t.Fatalf("verdict divergence: %q = %v, storeless says %v", q, v, ref[q])
+		}
+	}
+	m.Intern(definiteDB, mustParse(t, definiteDB))
+	if st := m.Stats(); st.ColdCompiles != 0 || st.PrewarmedArtifacts != 2 || st.MemoHits == 0 {
+		t.Fatalf("restart from a keyed log: %+v", st)
+	}
 }
 
 // TestPrewarmWithoutStore errors rather than silently no-ops.
 func TestPrewarmWithoutStore(t *testing.T) {
 	if _, err := NewManager(Config{}).Prewarm(); err == nil {
 		t.Fatal("Prewarm without store succeeded")
-	}
-}
-
-// TestCompileWithKeyVerdictIdentity asserts a compile that skips
-// canonical labeling produces an artifact whose fast-path and warm
-// verdicts match the full compile (the key only affects stats).
-func TestCompileWithKeyVerdictIdentity(t *testing.T) {
-	for _, text := range []string{generalDB, definiteDB, "s :- not t. t :- not u.\n"} {
-		d1 := mustParse(t, text)
-		d2 := mustParse(t, text)
-		full := Compile(text, d1)
-		keyed := CompileWithKey(text, d2, full.Key)
-		if keyed.Frag != full.Frag || keyed.Raw != full.Raw || keyed.Consistent != full.Consistent {
-			t.Fatalf("%q: keyed artifact diverges: frag %v/%v raw equal=%v", text, keyed.Frag, full.Frag, keyed.Raw == full.Raw)
-		}
-		if keyed.Key != full.Key {
-			t.Fatalf("%q: key not adopted", text)
-		}
 	}
 }

@@ -20,7 +20,7 @@ func FuzzStoreRecover(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		s.PutArtifact(Artifact{Text: "a | b.\n", Key: "K1", Frag: 2})
+		s.PutArtifact(Artifact{Text: "a | b.\n", Frag: 2})
 		s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|a", Holds: true})
 		if err := s.Close(); err != nil {
 			f.Fatal(err)
@@ -30,8 +30,10 @@ func FuzzStoreRecover(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A legacy intern record keeps the skip path in the corpus.
+	// A legacy intern record keeps the skip path in the corpus, and an
+	// artifact record with a non-empty legacy key the discard path.
 	healthy = append(healthy, legacyInternRecord("CK1", true, "RAW1", []byte{1, 2, 3})...)
+	healthy = append(healthy, keyedArtifactRecord("a | b.\n", "K1", 2)...)
 	f.Add(healthy)
 	f.Add(healthy[:len(healthy)/2])
 	f.Add([]byte{})
@@ -58,7 +60,7 @@ func FuzzStoreRecover(f *testing.F) {
 		// the mutated corpus, which the fuzzer would surface as a
 		// mismatch here).
 		for _, a := range s.Artifacts() {
-			if a != (Artifact{Text: "a | b.\n", Key: "K1", Frag: 2}) {
+			if a != (Artifact{Text: "a | b.\n", Frag: 2}) {
 				t.Fatalf("corrupt artifact served: %+v", a)
 			}
 		}
@@ -69,7 +71,7 @@ func FuzzStoreRecover(f *testing.F) {
 		}
 		total := rec.Artifacts + rec.Verdicts
 		// Store stays writable after recovery.
-		s.PutArtifact(Artifact{Text: "fresh.", Key: "KF"})
+		s.PutArtifact(Artifact{Text: "fresh."})
 		s.Flush()
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close after recovery: %v", err)

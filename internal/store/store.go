@@ -1,10 +1,10 @@
 // Package store is the crash-safe, disk-backed tier beneath the
 // in-memory caches: it persists compiled-database artifacts (the
-// session layer's parse/ground/canonical-key work), completed
-// warm-session verdict memos and the planner's cost estimates, so a
-// restarted process pre-warms from disk instead of recompiling
-// and re-solving — every deploy becomes an artifact load rather than a
-// cold-start stampede.
+// database texts the session layer compiled, with their fragments),
+// completed warm-session verdict memos and the planner's cost
+// estimates, so a restarted process pre-warms from disk instead of
+// recompiling and re-solving — every deploy becomes an artifact load
+// rather than a cold-start stampede.
 //
 // # Format and atomicity
 //
@@ -34,8 +34,8 @@
 // # Keys
 //
 // Artifacts are keyed by exact database text; the payload carries the
-// canonical isomorphism-class key (cache.Canonicalize) so a reload
-// can skip the expensive canonical labeling.
+// fragment classification, which a reload cross-checks against a fresh
+// compile of the text.
 // Verdict memos are keyed by the session key (the exact CNF
 // fingerprint Raw, the semantics name, and the memo key): equal Raw
 // means the indexed CNF is byte-identical, so verdicts transfer
@@ -74,13 +74,11 @@ const (
 )
 
 // Artifact is one persisted compiled-database artifact: the exact
-// database text plus the canonical isomorphism-class key, which is the
-// expensive part of compilation (the nauty-style labeling). Everything
-// else in a session.Compiled (grounding, fragment classification,
-// fixpoint models) is re-derived polynomially from Text on load.
+// database text plus its fragment classification. Everything in a
+// session.Compiled (grounding, fingerprint, fragment, fixpoint models)
+// is re-derived polynomially from Text on load.
 type Artifact struct {
 	Text string // exact database text (the compile-cache key)
-	Key  string // canonical class key (skips re-canonicalization)
 	Frag uint8  // fragment classification recorded for cross-checking
 }
 
@@ -317,12 +315,12 @@ func (s *Store) apply(typ byte, payload []byte) bool {
 	d := decoder{b: payload}
 	switch typ {
 	case recArtifact:
-		text, key := d.str(), d.str()
+		text, _ := d.str(), d.str() // the key field: see artifactPayload
 		frag := d.byte()
 		if d.bad || !d.done() {
 			return false
 		}
-		s.artifacts[text] = Artifact{Text: text, Key: key, Frag: frag}
+		s.artifacts[text] = Artifact{Text: text, Frag: frag}
 	case recVerdict:
 		raw, sem, memoKey := d.str(), d.str(), d.str()
 		holds := d.byte()
@@ -449,12 +447,20 @@ func (s *Store) PutArtifact(a Artifact) {
 		return
 	}
 	s.artifacts[a.Text] = a
+	s.enqueue(recArtifact, artifactPayload(a))
+	s.mu.Unlock()
+}
+
+// artifactPayload encodes an artifact record: text, key, frag. The
+// key field once held a canonical class key that nothing read; it is
+// written empty and read and discarded, so logs written before and
+// after its removal share one layout and reopen on either side.
+func artifactPayload(a Artifact) []byte {
 	var e encoder
 	e.str(a.Text)
-	e.str(a.Key)
+	e.str("")
 	e.byte(a.Frag)
-	s.enqueue(recArtifact, e.b)
-	s.mu.Unlock()
+	return e.b
 }
 
 // PutVerdict enqueues a completed verdict memo entry.
@@ -609,11 +615,7 @@ func (s *Store) maybeCompact() {
 		buf = append(buf, payload...)
 	}
 	for _, a := range s.artifacts {
-		var e encoder
-		e.str(a.Text)
-		e.str(a.Key)
-		e.byte(a.Frag)
-		appendRec(recArtifact, e.b)
+		appendRec(recArtifact, artifactPayload(a))
 	}
 	for vk, m := range s.verdicts {
 		raw, sem := splitKey(vk)

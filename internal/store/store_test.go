@@ -23,8 +23,8 @@ func seedStore(t *testing.T, dir string) {
 	if rec.TornTail || rec.Artifacts != 0 || rec.Verdicts != 0 {
 		t.Fatalf("fresh store reported recovery %+v", rec)
 	}
-	s.PutArtifact(Artifact{Text: "a | b.\n", Key: "K1", Frag: 2})
-	s.PutArtifact(Artifact{Text: "p. q :- p.\n", Key: "K2", Frag: 1})
+	s.PutArtifact(Artifact{Text: "a | b.\n", Frag: 2})
+	s.PutArtifact(Artifact{Text: "p. q :- p.\n", Frag: 1})
 	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|a", Holds: true})
 	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|b", Holds: false})
 	s.PutVerdict(Verdict{Raw: "R2", Sem: "CIRC", MemoKey: "formula|a & b", Holds: true})
@@ -36,10 +36,10 @@ func seedStore(t *testing.T, dir string) {
 func checkSeeded(t *testing.T, s *Store) {
 	t.Helper()
 	a, ok := s.Artifact("a | b.\n")
-	if !ok || a.Key != "K1" || a.Frag != 2 {
+	if !ok || a.Frag != 2 {
 		t.Fatalf("artifact 1 = %+v ok=%v", a, ok)
 	}
-	if a, ok := s.Artifact("p. q :- p.\n"); !ok || a.Key != "K2" {
+	if a, ok := s.Artifact("p. q :- p.\n"); !ok || a.Frag != 1 {
 		t.Fatalf("artifact 2 = %+v ok=%v", a, ok)
 	}
 	m := s.Verdicts("R1", "GCWA")
@@ -60,6 +60,18 @@ func rawRecord(typ byte, payload []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 	return append(b, payload...)
+}
+
+// keyedArtifactRecord hand-encodes a type-1 artifact record with an
+// explicit key field: text, key, frag. Logs written while artifacts
+// carried a canonical class key hold a non-empty key here; current
+// writers put an empty one.
+func keyedArtifactRecord(text, key string, frag byte) []byte {
+	p := binary.AppendUvarint(nil, uint64(len(text)))
+	p = append(p, text...)
+	p = binary.AppendUvarint(p, uint64(len(key)))
+	p = append(p, key...)
+	return rawRecord(recArtifact, append(p, frag))
 }
 
 // legacyInternRecord hand-encodes a type-3 record exactly as stores
@@ -92,10 +104,7 @@ func legacyInternRecord(key string, sat bool, raw string, model []byte) []byte {
 // torn tail — every later record survives — and compaction must drop
 // them from the rewritten log.
 func TestLegacyInternRecordsSkipped(t *testing.T) {
-	var art, ver, est encoder
-	art.str("a | b.\n")
-	art.str("K1")
-	art.byte(2)
+	var ver, est encoder
 	ver.str("R1")
 	ver.str("GCWA")
 	ver.str("literal|a")
@@ -107,7 +116,7 @@ func TestLegacyInternRecordsSkipped(t *testing.T) {
 	}
 	log := []byte(magic)
 	log = append(log, legacyInternRecord("CK0", false, "RAW0", nil)...)
-	log = append(log, rawRecord(recArtifact, art.b)...)
+	log = append(log, keyedArtifactRecord("a | b.\n", "K1", 2)...)
 	log = append(log, legacyInternRecord("CK1", true, "RAW1", []byte{3, 1, 0, 2})...)
 	log = append(log, rawRecord(recVerdict, ver.b)...)
 	log = append(log, legacyInternRecord("CK2", false, "RAW2", nil)...)
@@ -130,7 +139,7 @@ func TestLegacyInternRecordsSkipped(t *testing.T) {
 	}
 	check := func(s *Store) {
 		t.Helper()
-		if a, ok := s.Artifact("a | b.\n"); !ok || a.Key != "K1" || a.Frag != 2 {
+		if a, ok := s.Artifact("a | b.\n"); !ok || a.Frag != 2 {
 			t.Fatalf("artifact = %+v ok=%v", a, ok)
 		}
 		if m := s.Verdicts("R1", "GCWA"); len(m) != 1 || !m["literal|a"] {
@@ -191,11 +200,81 @@ func TestRoundTrip(t *testing.T) {
 	checkSeeded(t, s)
 }
 
+// TestKeyedArtifactLogReopens: a log whose artifact records carry a
+// non-empty legacy key reopens with every artifact and verdict, the
+// key discarded, and survives a compaction rewrite. Records written
+// now are the same layout with an empty key, so older readers decode
+// them too.
+func TestKeyedArtifactLogReopens(t *testing.T) {
+	var ver encoder
+	ver.str("R1")
+	ver.str("GCWA")
+	ver.str("literal|a")
+	ver.bool(true)
+	log := []byte(magic)
+	log = append(log, keyedArtifactRecord("a | b.\n", "K1", 2)...)
+	log = append(log, rawRecord(recVerdict, ver.b)...)
+	log = append(log, keyedArtifactRecord("p. q :- p.\n", "\x02\x01\x00", 1)...)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rec, err := Open(Config{Dir: dir, MaxBytes: int64(len(log)) - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.TornTail || rec.Dropped != 0 || rec.Artifacts != 2 || rec.Verdicts != 1 {
+		t.Fatalf("recovery = %+v, want 2 artifacts and 1 verdict, nothing dropped", rec)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		if a, ok := s.Artifact("a | b.\n"); !ok || a != (Artifact{Text: "a | b.\n", Frag: 2}) {
+			t.Fatalf("artifact 1 = %+v ok=%v", a, ok)
+		}
+		if a, ok := s.Artifact("p. q :- p.\n"); !ok || a != (Artifact{Text: "p. q :- p.\n", Frag: 1}) {
+			t.Fatalf("artifact 2 = %+v ok=%v", a, ok)
+		}
+		if m := s.Verdicts("R1", "GCWA"); !m["literal|a"] {
+			t.Fatalf("verdicts = %v", m)
+		}
+	}
+	check(s)
+	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|b", Holds: false})
+	s.Flush()
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatalf("no compaction of an over-budget log: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec2 := openT(t, dir)
+	defer s2.Close()
+	if rec2.TornTail || rec2.Artifacts != 2 || rec2.Verdicts != 2 {
+		t.Fatalf("reopen after compaction = %+v", rec2)
+	}
+	check(s2)
+
+	// A fresh write is the keyed layout with an empty key.
+	d2 := t.TempDir()
+	s3, _ := openT(t, d2)
+	s3.PutArtifact(Artifact{Text: "a | b.\n", Frag: 2})
+	if err := s3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(d2, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte(magic), keyedArtifactRecord("a | b.\n", "", 2)...); string(got) != string(want) {
+		t.Fatalf("artifact record = %q, want %q", got, want)
+	}
+}
+
 func TestLaterRecordWins(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	s.PutArtifact(Artifact{Text: "a.", Key: "OLD"})
-	s.PutArtifact(Artifact{Text: "a.", Key: "NEW", Frag: 3})
+	s.PutArtifact(Artifact{Text: "a.", Frag: 1})
+	s.PutArtifact(Artifact{Text: "a.", Frag: 3})
 	s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: false})
 	s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: true})
 	if err := s.Close(); err != nil {
@@ -203,7 +282,7 @@ func TestLaterRecordWins(t *testing.T) {
 	}
 	s2, _ := openT(t, dir)
 	defer s2.Close()
-	if a, _ := s2.Artifact("a."); a.Key != "NEW" || a.Frag != 3 {
+	if a, _ := s2.Artifact("a."); a.Frag != 3 {
 		t.Fatalf("artifact after reload = %+v (want later record)", a)
 	}
 	if m := s2.Verdicts("R", "GCWA"); !m["q"] {
@@ -216,7 +295,7 @@ func TestDedupIdenticalPuts(t *testing.T) {
 	s, _ := openT(t, dir)
 	defer s.Close()
 	for i := 0; i < 100; i++ {
-		s.PutArtifact(Artifact{Text: "a.", Key: "K"})
+		s.PutArtifact(Artifact{Text: "a."})
 		s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: true})
 	}
 	st := s.Stats()
@@ -260,7 +339,7 @@ func TestTruncateEveryOffset(t *testing.T) {
 		}
 		// Each loaded artifact must be one we actually wrote.
 		for _, a := range s.Artifacts() {
-			if !(a.Key == "K1" || a.Key == "K2") {
+			if !(a == Artifact{Text: "a | b.\n", Frag: 2} || a == Artifact{Text: "p. q :- p.\n", Frag: 1}) {
 				t.Fatalf("cut=%d: corrupt artifact served: %+v", cut, a)
 			}
 		}
@@ -271,7 +350,7 @@ func TestTruncateEveryOffset(t *testing.T) {
 		prevTotal = total
 		// The store must be writable after recovery: dropped entries
 		// are re-derived and re-persisted by the caller.
-		s.PutArtifact(Artifact{Text: "re.", Key: "K1"})
+		s.PutArtifact(Artifact{Text: "re."})
 		s.Flush()
 		if err := s.Close(); err != nil {
 			t.Fatalf("cut=%d: Close: %v", cut, err)
@@ -313,8 +392,8 @@ func TestCorruptEveryOffset(t *testing.T) {
 			t.Fatalf("off=%d: Open error: %v", off, err)
 		}
 		for _, a := range s.Artifacts() {
-			if !(a == Artifact{Text: "a | b.\n", Key: "K1", Frag: 2} ||
-				a == Artifact{Text: "p. q :- p.\n", Key: "K2", Frag: 1}) {
+			if !(a == Artifact{Text: "a | b.\n", Frag: 2} ||
+				a == Artifact{Text: "p. q :- p.\n", Frag: 1}) {
 				t.Fatalf("off=%d: corrupt artifact served: %+v", off, a)
 			}
 		}
@@ -339,7 +418,7 @@ func TestCompaction(t *testing.T) {
 	// tiny while the log grows past budget, forcing compaction.
 	for i := 0; i < 2000; i++ {
 		s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: i%2 == 0})
-		s.PutArtifact(Artifact{Text: "a.", Key: "K", Frag: uint8(i % 2)})
+		s.PutArtifact(Artifact{Text: "a.", Frag: uint8(i % 2)})
 	}
 	s.Flush()
 	st := s.Stats()
@@ -389,7 +468,7 @@ func TestCloseStopsFlusherAndDropsLatePuts(t *testing.T) {
 	if st := s.Stats(); !st.FlusherRunning {
 		t.Fatal("flusher not running after Open")
 	}
-	s.PutArtifact(Artifact{Text: "a.", Key: "K"})
+	s.PutArtifact(Artifact{Text: "a."})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +509,7 @@ func TestForeignFileStartsFresh(t *testing.T) {
 	if rec.Artifacts+rec.Verdicts != 0 {
 		t.Fatalf("foreign file yielded entries: %+v", rec)
 	}
-	s.PutArtifact(Artifact{Text: "a.", Key: "K"})
+	s.PutArtifact(Artifact{Text: "a."})
 	s.Flush()
 }
 
@@ -443,7 +522,7 @@ func TestConcurrentPuts(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: string(rune('a'+g)) + "x", Holds: i%2 == 0})
-				s.PutArtifact(Artifact{Text: "t" + string(rune('a'+g)), Key: "K"})
+				s.PutArtifact(Artifact{Text: "t" + string(rune('a'+g))})
 				s.Verdicts("R", "GCWA")
 				s.Stats()
 			}

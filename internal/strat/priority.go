@@ -1,6 +1,7 @@
 package strat
 
 import (
+	"disjunct/internal/budget"
 	"disjunct/internal/db"
 )
 
@@ -24,8 +25,9 @@ type Priority struct {
 
 // NewPriority computes the priority relation of d. The construction is
 // O(n³) (Floyd–Warshall style transitive closure), fine for the
-// propositional databases of the benchmarks.
-func NewPriority(d *db.DB) *Priority {
+// propositional databases of the benchmarks. The closure polls b every
+// pollRows outer rows and trips it once exhausted; a nil b never trips.
+func NewPriority(d *db.DB, b *budget.B) *Priority {
 	n := d.N()
 	p := &Priority{n: n, leq: make([]bool, n*n)}
 	set := func(x, y int) { p.leq[x*n+y] = true }
@@ -48,6 +50,11 @@ func NewPriority(d *db.DB) *Priority {
 	}
 	// Transitive closure.
 	for k := 0; k < n; k++ {
+		if k%pollRows == pollRows-1 {
+			if err := b.Err(); err != nil {
+				budget.Trip(err)
+			}
+		}
 		for i := 0; i < n; i++ {
 			if !p.leq[i*n+k] {
 				continue
@@ -62,6 +69,10 @@ func NewPriority(d *db.DB) *Priority {
 	}
 	return p
 }
+
+// pollRows is how many closure rows, each O(n²), run between budget
+// polls.
+const pollRows = 8
 
 // Leq reports x ≤ y.
 func (p *Priority) Leq(x, y int) bool { return p.leq[x*p.n+y] }

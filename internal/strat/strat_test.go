@@ -130,7 +130,7 @@ func TestLayers(t *testing.T) {
 
 func TestPriorityTransitivity(t *testing.T) {
 	d := dbtest.MustParse("a :- not b. b :- not c.")
-	p := NewPriority(d)
+	p := NewPriority(d, nil)
 	a, _ := d.Voc.Lookup("a")
 	b, _ := d.Voc.Lookup("b")
 	c, _ := d.Voc.Lookup("c")
@@ -144,7 +144,7 @@ func TestPriorityTransitivity(t *testing.T) {
 
 func TestPriorityHeadEquivalence(t *testing.T) {
 	d := dbtest.MustParse("a | b.")
-	p := NewPriority(d)
+	p := NewPriority(d, nil)
 	a, _ := d.Voc.Lookup("a")
 	b, _ := d.Voc.Lookup("b")
 	if !p.Leq(int(a), int(b)) || !p.Leq(int(b), int(a)) {
@@ -157,7 +157,7 @@ func TestPriorityHeadEquivalence(t *testing.T) {
 
 func TestPriorityReflexive(t *testing.T) {
 	d := dbtest.MustParse("a.")
-	p := NewPriority(d)
+	p := NewPriority(d, nil)
 	if !p.Leq(0, 0) || p.Less(0, 0) {
 		t.Fatalf("reflexivity broken")
 	}
