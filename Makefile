@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s ./internal/sat
 	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s ./internal/semantics/pws
 	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s ./internal/semantics/pdsm
+	$(GO) test -fuzz=FuzzServeQuery -fuzztime=30s ./internal/serve
 
 clean:
 	$(GO) clean ./...

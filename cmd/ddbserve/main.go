@@ -44,10 +44,10 @@ func main() {
 		brkCooldown   = flag.Duration("breakercooldown", time.Second, "open-breaker cooldown before the half-open probe")
 		faultRate     = flag.Float64("faultrate", 0, "injected oracle fault probability (chaos mode)")
 		faultSeed     = flag.Int64("faultseed", 1, "fault injection seed")
-		sessions      = flag.Bool("sessions", false, "enable warm query sessions: compiled-DB cache, fragment fast paths, request coalescing")
+		sessions      = flag.Bool("sessions", false, "enable warm query sessions: compiled-DB cache, verdict memo, fragment fast paths, request coalescing")
 		sessBytes     = flag.Int64("sessionbytes", 0, "compiled-DB cache byte budget (0 = 64 MiB default)")
-		sessMax       = flag.Int("sessionmax", 0, "max resident warm sessions (0 = default 64)")
-		sessQueries   = flag.Int("sessionqueries", 0, "warm queries before an engine is retired (0 = default 512)")
+		sessMax       = flag.Int("sessionmax", 0, "max resident warm sessions, one per database (0 = default 64)")
+		sessQueries   = flag.Int("sessionqueries", 0, "warm solves before a database's engine is retired (0 = default 512)")
 		sessWindow    = flag.Duration("sessionwindow", 0, "micro-batch wait for a busy session before falling back fresh (0 = default 2ms)")
 		batchMax      = flag.Int("batchmax", 0, "max queries per /v1/batch request (0 = default 256)")
 		streamMax     = flag.Int("streammax", 0, "server-side cap on models per /v1/models/stream request (0 = uncapped)")

@@ -227,8 +227,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		cancel(context.Cause(s.baseCtx))
 	}
 
-	// Session pass: fast-path queries answer inline; warm-eligible
-	// groups run back-to-back on one checkout per semantics. Leftovers
+	// Session pass: memo hits and fast-path queries answer inline;
+	// warm-eligible queries run back-to-back on the database's one
+	// engine checkout. Leftovers
 	// (and everything, with sessions off beyond the fast path) take the
 	// fresh per-attempt path.
 	pending := runnable
@@ -237,14 +238,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		starts := make([]time.Time, len(runnable))
 		for i, j := range runnable {
 			starts[i] = time.Now()
-			reqs[i] = session.Request{
-				Sem:       j.pq.semName,
-				Kind:      sessionKind(j.kind),
-				Lit:       j.pq.lit,
-				F:         j.pq.formula,
-				QueryText: j.pq.qtext,
-				Budget:    budget.New(ctx, eff),
-			}
+			reqs[i] = j.pq.sessionRequest(j.kind, budget.New(ctx, eff))
 		}
 		outcomes := s.sessions.Batch(ctx, comp, reqs)
 		pending = pending[:0]
@@ -287,6 +281,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		results[j.idx].Response = &resp
+	}
+	for _, j := range runnable {
+		if resp := results[j.idx].Response; resp != nil {
+			s.remember(comp, j.kind, j.pq, *resp)
+		}
 	}
 
 	// Outcome accounting: per-query stats and breaker records, shared

@@ -169,19 +169,11 @@ func (s *Server) observeCost(pq parsedQuery, resp QueryResponse) {
 // executeSession offers one query to the warm session layer. The
 // boolean reports whether the layer handled it; false sends the
 // caller down the fresh path. A handled query's response carries the
-// session's own counters (zero on fast paths and memo hits) and its
+// session's own counters (zero on memo hits and fast paths) and its
 // route in Path.
 func (s *Server) executeSession(ctx context.Context, kind string, pq parsedQuery) (QueryResponse, bool) {
 	start := time.Now()
-	b := budget.New(ctx, pq.eff)
-	res, handled := s.sessions.Query(ctx, pq.comp, session.Request{
-		Sem:       pq.semName,
-		Kind:      sessionKind(kind),
-		Lit:       pq.lit,
-		F:         pq.formula,
-		QueryText: pq.qtext,
-		Budget:    b,
-	})
+	res, handled := s.sessions.Query(ctx, pq.comp, pq.sessionRequest(kind, budget.New(ctx, pq.eff)))
 	if !handled {
 		return QueryResponse{}, false
 	}

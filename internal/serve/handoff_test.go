@@ -48,10 +48,14 @@ func TestHandoffExportRanges(t *testing.T) {
 		"a | b. c.",
 		"a | b. c. d.",
 	}
+	// Two different queries per database: the second sighting caches
+	// the artifact, and its verdict lands in the memo.
 	for _, d := range dbs {
-		status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "GCWA", DB: d, Literal: "-a"})
-		if status != http.StatusOK {
-			t.Fatalf("warm query on %q: status %d body %s", d, status, body)
+		for _, lit := range []string{"-a", "-b"} {
+			status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "GCWA", DB: d, Literal: lit})
+			if status != http.StatusOK {
+				t.Fatalf("warm query on %q: status %d body %s", d, status, body)
+			}
 		}
 	}
 

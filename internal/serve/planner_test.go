@@ -102,7 +102,9 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 		t.Fatalf("no DSM estimate in %d exported entries", len(ests))
 	}
 	srv.planner.Observe(dsmRaw, "DSM", plan.Cost{NPCalls: 10_000})
-	if qr := post1("DSM", dsmDB, dsmLit); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
+	// A different query on the same database and semantics: a repeat
+	// of dsmLit would answer from the verdict memo.
+	if qr := post1("DSM", dsmDB, "-c"); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
 		t.Errorf("expensive-estimate DSM: path %q np=%d, want brute/0", qr.Path, qr.Counters.NPCalls)
 	}
 	// No brute reference and no warm family: the fresh path, as before
@@ -241,7 +243,8 @@ func TestHandoffEstimateRoundTrip(t *testing.T) {
 	if got := importHandoff(t, tsB.URL, full); got.Estimates != 0 {
 		t.Fatalf("re-import accepted %d estimates, want 0", got.Estimates)
 	}
-	if status, body := post(t, tsB, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: dbs[0], Literal: "-a"}); status != http.StatusOK {
+	// "-b": the handed-off memo already answers "-a" without a decision.
+	if status, body := post(t, tsB, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: dbs[0], Literal: "-b"}); status != http.StatusOK {
 		t.Fatalf("peer query: status %d body %s", status, body)
 	}
 	h, err := FetchHealth(tsB.Client(), tsB.URL)

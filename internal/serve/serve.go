@@ -97,9 +97,10 @@ type Config struct {
 	FaultRate float64
 	FaultSeed int64
 	// Sessions switches on the warm query-session layer
-	// (internal/session): a compiled-DB artifact cache, fragment fast
-	// paths, warm incremental solver sessions, and cross-request
-	// coalescing of identical queries.
+	// (internal/session): a compiled-DB artifact cache, a verdict memo
+	// in front of every route, fragment fast paths, warm incremental
+	// solver sessions, and cross-request coalescing of identical
+	// queries.
 	Sessions bool
 	// SessionCacheBytes / SessionMaxSessions / SessionMaxQueries /
 	// SessionBatchWindow tune the session manager (zero = its
@@ -178,7 +179,7 @@ type stats struct {
 	shedCost       atomic.Int64 // cost-aware admission sheds (planner on)
 	badRequest     atomic.Int64 // 400/404/422
 	retries        atomic.Int64 // query-level transient retries performed
-	coalesced      atomic.Int64 // requests answered from a coalesced leader
+	coalesced      atomic.Int64 // requests answered from a concurrent leader's flight
 
 	batchRequests    atomic.Int64 // /v1/batch requests admitted
 	batchQueries     atomic.Int64 // queries carried by admitted batches
@@ -219,8 +220,9 @@ type Server struct {
 	breakerMu sync.Mutex
 	breakers  map[string]*breaker
 
-	// sessions is the warm query-session layer, nil unless
-	// cfg.Sessions; flights coalesces identical concurrent requests.
+	// sessions is the warm query-session layer and verdict memo, nil
+	// unless cfg.Sessions; flights coalesces identical concurrent
+	// requests.
 	sessions *session.Manager
 	flights  flightGroup
 
@@ -270,7 +272,7 @@ func New(cfg Config) *Server {
 			BatchWindow:          cfg.SessionBatchWindow,
 			Store:                cfg.Store,
 		})
-		s.flights.m = map[string]*flight{}
+		s.flights.m = map[flightKey]*flight{}
 		s.store = cfg.Store
 	}
 	if cfg.Planner {
@@ -492,7 +494,7 @@ type parsedQuery struct {
 	eff     budget.Limits
 	// comp is the compiled artifact when the session layer is on;
 	// qtext is the canonical query text and dbText the raw database
-	// text (memo/coalescing key components).
+	// text (coalescing key components).
 	comp   *session.Compiled
 	qtext  string
 	dbText string
@@ -500,6 +502,29 @@ type parsedQuery struct {
 	// whether one was made (planner on and artifact compiled).
 	dec     plan.Decision
 	planned bool
+}
+
+// sessionRequest is the query in the session layer's terms; b bounds
+// a warm solve (nil for memo reads and writes).
+func (pq parsedQuery) sessionRequest(kind string, b *budget.B) session.Request {
+	return session.Request{
+		Sem:       pq.semName,
+		Kind:      sessionKind(kind),
+		Lit:       pq.lit,
+		F:         pq.formula,
+		QueryText: pq.qtext,
+		Budget:    b,
+	}
+}
+
+// remember writes a complete verdict, from any route, into the memo of
+// its artifact. Fast-path answers are not persisted: they cost nothing
+// to re-derive.
+func (s *Server) remember(comp *session.Compiled, kind string, pq parsedQuery, resp QueryResponse) {
+	if s.sessions == nil || comp == nil || resp.Incomplete || resp.Path == "memo" || resp.Path == "coalesced" {
+		return
+	}
+	s.sessions.Remember(comp, pq.sessionRequest(kind, nil), resp.Holds, resp.Path != "fast")
 }
 
 // parseLiteral parses "x", "-x", "~x", or "not x" against a
@@ -584,8 +609,9 @@ func (s *Server) decodeQuery(kind string, r *http.Request) (parsedQuery, int, *E
 }
 
 // queryHandler builds the handler for one query kind. The request
-// path is: drain check → decode/validate → breaker → admission →
-// execute (with bounded transient retries) → typed response.
+// path is: drain check → decode/validate → verdict memo → planner →
+// breaker → admission → execute (with bounded transient retries) →
+// typed response.
 func (s *Server) queryHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -598,6 +624,16 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 			s.stats.badRequest.Add(1)
 			writeJSON(w, status, *errResp)
 			return
+		}
+
+		// A repeat answers from the verdict memo before any planning,
+		// breaker or admission work: a hit claims no execution slot.
+		if s.sessions != nil {
+			if holds, ok := s.sessions.Recall(pq.comp, pq.sessionRequest(kind, nil)); ok {
+				s.stats.completed.Add(1)
+				writeJSON(w, http.StatusOK, sessionResponse(kind, pq, session.Result{Holds: holds, Path: "memo"}, time.Now()))
+				return
+			}
 		}
 
 		// Cost-aware admission: the planner classifies the query on its
@@ -710,11 +746,12 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 		// complete verdict, and re-execute themselves otherwise (an
 		// incomplete or semantic-error outcome can depend on the
 		// leader's own timing and budget). Followers wait holding their
-		// own admission slots, so the leader is never starved.
+		// own admission slots, so the leader is never starved, and no
+		// longer than their own deadline.
 		var fl *flight
-		var flKey string
+		var flKey flightKey
 		if s.sessions != nil {
-			flKey = coalesceKey(kind, pq)
+			flKey = flightKey{db: pq.dbText, sem: pq.semName, kind: kind, query: pq.qtext}
 			f, leader := s.flights.join(flKey)
 			if s.flightHook != nil {
 				s.flightHook(leader)
@@ -722,6 +759,12 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 			if leader {
 				fl = f
 			} else {
+				var expired <-chan time.Time
+				if pq.eff.Deadline > 0 {
+					t := time.NewTimer(pq.eff.Deadline)
+					defer t.Stop()
+					expired = t.C
+				}
 				select {
 				case <-f.done:
 					if f.ok {
@@ -739,11 +782,16 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 				case <-r.Context().Done():
 					// Our client is going away; execute() surfaces the
 					// typed cancellation.
+				case <-expired:
+					// The leader outlasted our deadline: solve ourselves.
 				}
 			}
 		}
 
 		resp, semErr := s.execute(r.Context(), kind, pq)
+		if semErr == nil {
+			s.remember(pq.comp, kind, pq, resp)
+		}
 		if fl != nil {
 			s.flights.finish(flKey, fl, resp, semErr == nil && !resp.Incomplete)
 		}

@@ -22,36 +22,39 @@ func newSessionServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // TestServeSessionVerdictsMatchLibrary drives every session route
-// through the HTTP layer — fragment fast path, warm session, warm
+// through the HTTP layer — fragment fast path, warm session, verdict
 // memo, and the fresh fallback — and checks each verdict against the
 // direct library call plus the Path/counter contract of the route.
+// Each case asks two different queries on one (database, semantics),
+// so the second runs its route again on the now-cached artifact, then
+// repeats the second, which the memo answers.
 func TestServeSessionVerdictsMatchLibrary(t *testing.T) {
 	srv, ts := newSessionServer(t, Config{})
 
 	cases := []struct {
-		name         string
-		sem, db, lit string
-		wantPath     string
+		name      string
+		sem, db   string
+		lit, lit2 string
+		wantPath  string
 	}{
 		// Definite database: fragment fast path, zero NP calls.
-		{"fast-definite", "GCWA", "a. b :- a. c :- b.", "c", "fast"},
+		{"fast-definite", "GCWA", "a. b :- a. c :- b.", "c", "b", "fast"},
 		// Stratified normal database under the stable semantics.
-		{"fast-strat", "DSM", "a :- not b. c :- a.", "a", "fast"},
+		{"fast-strat", "DSM", "a :- not b. c :- a.", "a", "c", "fast"},
 		// General disjunctive database: warm incremental session.
-		{"warm", "GCWA", "a | b. b | c.", "-a", "session"},
-		{"warm-circ", "CIRC", "a | b. a | c.", "-b", "session"},
+		{"warm", "GCWA", "a | b. b | c.", "-a", "-b", "session"},
+		{"warm-circ", "CIRC", "a | b. a | c.", "-b", "-c", "session"},
 		// PDSM on a disjunctive database: no fast path, fresh path.
-		{"fresh-pdsm", "PDSM", "a | b.", "-a", ""},
+		{"fresh-pdsm", "PDSM", "a | b.", "-a", "-b", ""},
 		// PDSM on a stratified normal database: the total well-founded
 		// model is its unique partial stable model.
-		{"fast-pdsm", "PDSM", "a :- not b. c :- a.", "c", "fast"},
+		{"fast-pdsm", "PDSM", "a :- not b. c :- a.", "c", "a", "fast"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req := QueryRequest{Semantics: tc.sem, DB: tc.db, Literal: tc.lit}
-			want := directVerdict(t, tc.sem, tc.db, tc.lit)
-			for round := 0; round < 2; round++ {
-				status, body := post(t, ts, "/v1/infer/literal", req)
+			for round, lit := range []string{tc.lit, tc.lit2, tc.lit2} {
+				want := directVerdict(t, tc.sem, tc.db, lit)
+				status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: tc.sem, DB: tc.db, Literal: lit})
 				if status != http.StatusOK {
 					t.Fatalf("round %d: status %d body %s", round, status, body)
 				}
@@ -59,16 +62,19 @@ func TestServeSessionVerdictsMatchLibrary(t *testing.T) {
 				if qr.Incomplete || qr.Holds != want {
 					t.Fatalf("round %d: served %s/%v, direct library call %v", round, qr.Verdict, qr.Holds, want)
 				}
-				if qr.Path != tc.wantPath {
-					t.Fatalf("round %d: path %q, want %q", round, qr.Path, tc.wantPath)
+				wantPath := tc.wantPath
+				if round == 2 {
+					wantPath = "memo"
+				}
+				if qr.Path != wantPath {
+					t.Fatalf("round %d: path %q, want %q", round, qr.Path, wantPath)
 				}
 				if qr.Path == "fast" && qr.Counters.NPCalls != 0 {
 					t.Fatalf("fast path consumed %d NP calls", qr.Counters.NPCalls)
 				}
-				// A repeat of a session-handled query answers from the
-				// memo: zero oracle work.
-				if round == 1 && qr.Path != "" && qr.Counters.NPCalls != 0 {
-					t.Fatalf("repeat consumed %d NP calls, want 0 (memo)", qr.Counters.NPCalls)
+				// A repeat answers from the memo: zero oracle work.
+				if round == 2 && (qr.Counters != CountersJSON{}) {
+					t.Fatalf("repeat consumed %+v, want zero counters (memo)", qr.Counters)
 				}
 			}
 		})
@@ -201,8 +207,10 @@ func TestServeCoalesceNeverSharesIncomplete(t *testing.T) {
 // on.
 func TestServeSessionHealthz(t *testing.T) {
 	_, ts := newSessionServer(t, Config{})
-	req := QueryRequest{Semantics: "GCWA", DB: "a | b.", Literal: "-a"}
-	for i := 0; i < 2; i++ {
+	// A different second query caches the artifact and solves warm;
+	// its repeat hits the compiled cache and the memo.
+	for i, lit := range []string{"-a", "-b", "-b"} {
+		req := QueryRequest{Semantics: "GCWA", DB: "a | b.", Literal: lit}
 		if status, body := post(t, ts, "/v1/infer/literal", req); status != http.StatusOK {
 			t.Fatalf("query %d: status %d body %s", i, status, body)
 		}

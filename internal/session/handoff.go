@@ -12,9 +12,8 @@ import (
 // that state as plain data; Import rebuilds it on the successor:
 // artifacts are recompiled from text and cross-checked against the
 // shipped fingerprint and fragment (exactly like Prewarm), and
-// verdicts are staged as pending seeds that the next warm-session
-// creation for their (fingerprint, semantics) pair folds into its
-// memo. Handoff is an optimization with a safety net, never a
+// verdicts go straight into the memos of the artifacts they name.
+// Handoff is an optimization with a safety net, never a
 // correctness dependency: a dropped artifact recompiles cold, a
 // dropped verdict recomputes — verdict identity is gated separately.
 
@@ -25,7 +24,10 @@ type HandoffArtifact struct {
 	Frag uint8  `json:"frag"`
 }
 
-// HandoffVerdict is one completed warm verdict in transit.
+// HandoffVerdict is one completed verdict in transit. MemoKey is
+// "kind|query text", then a NUL and the digest of the database text it
+// was asked against; envelopes written before digests existed omit
+// both, and carry warm minimal-model verdicts only.
 type HandoffVerdict struct {
 	Raw     string `json:"raw"`
 	Sem     string `json:"sem"`
@@ -55,56 +57,33 @@ type Handoff struct {
 }
 
 // Export snapshots the manager's warm state: every cached artifact,
-// and every completed verdict reachable without blocking — resident
-// session memos whose engine token is free right now, plus the whole
-// persisted corpus when a store is configured. A session that is
-// mid-query is skipped rather than waited on (its completed verdicts
-// are already in the store if one exists; without one, those few
-// verdicts recompute on the successor).
+// every verdict in their memos (the fast path's own answers aside),
+// and the whole persisted verdict corpus when a store is configured.
 func (m *Manager) Export() Handoff {
 	var h Handoff
-
 	m.artMu.Lock()
+	comps := make([]*Compiled, 0, m.artList.Len())
 	for el := m.artList.Front(); el != nil; el = el.Next() {
-		an := el.Value.(*artNode)
-		h.Artifacts = append(h.Artifacts, HandoffArtifact{
-			Text: an.text,
-			Raw:  an.comp.Raw,
-			Frag: uint8(an.comp.Frag),
-		})
+		comps = append(comps, el.Value.(*artNode).comp)
 	}
 	m.artMu.Unlock()
 
-	seen := make(map[string]bool)
-	addVerdict := func(v HandoffVerdict) {
-		k := v.Raw + "\x00" + v.Sem + "\x00" + v.MemoKey
-		if !seen[k] {
-			seen[k] = true
-			h.Verdicts = append(h.Verdicts, v)
+	for _, comp := range comps {
+		h.Artifacts = append(h.Artifacts, HandoffArtifact{Text: comp.Text, Raw: comp.Raw, Frag: uint8(comp.Frag)})
+		if t := comp.memo.Load(); t != nil {
+			h.Verdicts = append(h.Verdicts, t.verdicts(comp)...)
 		}
 	}
-
-	m.sessMu.Lock()
-	sessions := make([]*warmSession, 0, m.sessList.Len())
-	for el := m.sessList.Front(); el != nil; el = el.Next() {
-		sessions = append(sessions, el.Value.(*warmSession))
-	}
-	m.sessMu.Unlock()
-	for _, s := range sessions {
-		select {
-		case st := <-s.slot:
-			for memoKey, holds := range st.memo {
-				addVerdict(HandoffVerdict{Raw: s.key.raw, Sem: s.key.sem, MemoKey: memoKey, Holds: holds})
-			}
-			s.slot <- st
-		default:
-			// busy mid-query: skip, don't block the drain
-		}
-	}
-
 	if st := m.cfg.Store; st != nil {
+		type key struct{ raw, sem, memoKey string }
+		have := make(map[key]bool, len(h.Verdicts))
+		for _, v := range h.Verdicts {
+			have[key{v.Raw, v.Sem, v.MemoKey}] = true
+		}
 		for _, v := range st.AllVerdicts() {
-			addVerdict(HandoffVerdict{Raw: v.Raw, Sem: v.Sem, MemoKey: v.MemoKey, Holds: v.Holds})
+			if !have[key{v.Raw, v.Sem, v.MemoKey}] {
+				h.Verdicts = append(h.Verdicts, HandoffVerdict{Raw: v.Raw, Sem: v.Sem, MemoKey: v.MemoKey, Holds: v.Holds})
+			}
 		}
 	}
 	return h
@@ -113,13 +92,15 @@ func (m *Manager) Export() Handoff {
 // Import absorbs an exported slice of another worker's warm state.
 // Artifacts re-parse and recompile (the Prewarm path: polynomial, with
 // a fingerprint and fragment cross-check that rejects records from a
-// different compiler vintage). Verdicts land in the pending-seed
-// staging area keyed by (fingerprint, semantics); the next session()
-// for that pair folds them into its memo. Both kinds
-// are also written through to the local store when one is configured,
-// so the handed-off state survives this process too. Returns the
-// counts of artifacts and verdicts accepted.
+// different compiler vintage) and are cached at once. Verdicts go
+// straight into the memos of the cached artifacts they name — by
+// fingerprint, and by text digest where the record carries one. Both
+// kinds are also written through to the local store when one is
+// configured, so the handed-off state survives this process too, and a
+// verdict whose artifact is not cached here seeds it from the store
+// later. Returns the counts of artifacts and verdicts accepted.
 func (m *Manager) Import(h Handoff) (arts, verds int) {
+	st := m.cfg.Store
 	for _, a := range h.Artifacts {
 		d, err := db.Parse(a.Text)
 		if err != nil {
@@ -129,49 +110,44 @@ func (m *Manager) Import(h Handoff) (arts, verds int) {
 		if uint8(comp.Frag) != a.Frag || comp.Raw != a.Raw {
 			continue // stale record: re-derive on demand
 		}
-		m.insert(a.Text, comp)
+		m.insert(comp)
 		m.prewarmedArtifacts.Add(1)
-		if st := m.cfg.Store; st != nil {
+		if st != nil {
 			st.PutArtifact(store.Artifact{Text: a.Text, Frag: a.Frag})
 		}
 		arts++
 	}
 
-	m.sessMu.Lock()
-	if m.pendingSeeds == nil {
-		m.pendingSeeds = make(map[sessKey]map[string]bool)
+	byRaw := make(map[string][]*Compiled)
+	m.artMu.Lock()
+	for el := m.artList.Front(); el != nil; el = el.Next() {
+		comp := el.Value.(*artNode).comp
+		byRaw[comp.Raw] = append(byRaw[comp.Raw], comp)
 	}
+	m.artMu.Unlock()
 	for _, v := range h.Verdicts {
-		key := sessKey{raw: v.Raw, sem: v.Sem}
-		if el, ok := m.sessions[key]; ok {
-			// The pair already has a live session: merge directly if its
-			// token is free; a busy session just recomputes the few
-			// verdicts it never sees.
-			s := el.Value.(*warmSession)
-			select {
-			case st := <-s.slot:
-				if _, dup := st.memo[v.MemoKey]; !dup {
-					st.memo[v.MemoKey] = v.Holds
-					verds++
-				}
-				s.slot <- st
-			default:
+		accepted := st != nil
+		id, known := semID(v.Sem)
+		for _, comp := range byRaw[v.Raw] {
+			t := comp.memo.Load()
+			if t == nil || !known {
+				continue
 			}
-		} else {
-			pend := m.pendingSeeds[key]
-			if pend == nil {
-				pend = make(map[string]bool)
-				m.pendingSeeds[key] = pend
-			}
-			if _, dup := pend[v.MemoKey]; !dup {
-				pend[v.MemoKey] = v.Holds
-				verds++
+			t.mu.Lock()
+			added, ok := t.seedKey(comp, id, v.MemoKey, v.Holds)
+			t.mu.Unlock()
+			m.charge(t, added)
+			if ok {
+				m.storeVerdictSeeds.Add(1)
+				accepted = true
 			}
 		}
-		if st := m.cfg.Store; st != nil {
+		if st != nil {
 			st.PutVerdict(store.Verdict{Raw: v.Raw, Sem: v.Sem, MemoKey: v.MemoKey, Holds: v.Holds})
 		}
+		if accepted {
+			verds++
+		}
 	}
-	m.sessMu.Unlock()
 	return arts, verds
 }

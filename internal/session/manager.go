@@ -3,6 +3,7 @@ package session
 import (
 	"container/list"
 	"context"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,8 @@ func (k Kind) String() string {
 // sessions (under the default full-minimisation partition): their
 // literal queries — and for the E-family also formula queries — reduce
 // to MM(DB) ⊨ F, which IncrementalEngine.MMEntails answers on the
-// shared solver. GCWA/CCWA formula inference is closure-based and does
+// shared solver. No warm query depends on which of the five asked it,
+// so one engine per database serves all five. GCWA/CCWA formula inference is closure-based and does
 // NOT coincide with MMEntails (e.g. DB = {a∨b} minimally entails
 // ¬a∨¬b but its GCWA closure does not), so those fall through fresh.
 var warmSems = map[string]bool{
@@ -55,12 +57,13 @@ var warmFormulaSems = map[string]bool{
 type Config struct {
 	// MaxBytes is the compiled-artifact LRU budget (default 64 MiB).
 	MaxBytes int64
-	// MaxSessions bounds the warm sessions kept across all (DB,
-	// semantics) pairs (default 64).
+	// MaxSessions bounds the warm sessions kept, one per database
+	// fingerprint shared by all five warm semantics (default 64).
 	MaxSessions int
-	// MaxQueriesPerSession retires a session's engine after this many
-	// warm queries, bounding activation-variable and learned-clause
-	// growth (default 512). The verdict memo survives retirement.
+	// MaxQueriesPerSession retires a database's engine after this many
+	// warm solves across its semantics, bounding activation-variable
+	// and learned-clause growth (default 512). Memo hits do not count,
+	// and the verdict memo lives on the artifact, not the engine.
 	MaxQueriesPerSession int
 	// MaxVars retires the engine when the shared solver's variable
 	// count exceeds it (default 1 << 16).
@@ -71,7 +74,7 @@ type Config struct {
 	// checked-out engine (default 2ms).
 	BatchWindow time.Duration
 	// Store is the optional disk-backed tier: compile misses are
-	// checked against it, fresh compiles and completed warm verdicts are
+	// checked against it, fresh compiles and remembered verdicts are
 	// written behind, and Prewarm loads it wholesale. Nil disables
 	// persistence.
 	Store *store.Store
@@ -105,20 +108,20 @@ type Stats struct {
 	CompiledEntries   int64 // gauge: artifacts cached
 	CompiledEvictions int64 // artifacts evicted by the byte budget
 	FastQueries       int64 // queries answered by the fragment fast path
-	WarmQueries       int64 // queries answered on a warm session engine
-	MemoHits          int64 // warm queries answered from the verdict memo
+	WarmQueries       int64 // memo hits plus warm-engine solves
+	MemoHits          int64 // queries answered from the verdict memo, any route
 	Checkouts         int64 // successful session checkouts
 	CheckoutTimeouts  int64 // batch-window expiries (fell back fresh)
 	Retired           int64 // engines retired (staleness or interrupt)
 	ActiveCheckouts   int64 // gauge: sessions currently checked out
-	Sessions          int64 // gauge: warm sessions resident
+	Sessions          int64 // gauge: warm sessions (databases) resident
 
 	// Store-tier counters. Without a store every compile is cold and
 	// the others stay zero.
 	ColdCompiles       int64 // compiles the store did not answer
 	StoreArtifactHits  int64 // compile misses whose text the store held
 	PrewarmedArtifacts int64 // artifacts loaded wholesale by Prewarm
-	StoreVerdictSeeds  int64 // memo entries seeded from persisted verdicts
+	StoreVerdictSeeds  int64 // memo entries seeded from the store or a handoff
 }
 
 // Result is the session layer's answer to a query it handled.
@@ -132,7 +135,7 @@ type Result struct {
 	// Counters is the oracle work of this query alone (zero on the
 	// fast path and on memo hits).
 	Counters oracle.Counters
-	// Path reports which route answered: "fast" or "session".
+	// Path reports which route answered: "memo", "fast" or "session".
 	Path string
 }
 
@@ -142,14 +145,19 @@ type Request struct {
 	Kind Kind
 	Lit  logic.Lit
 	F    *logic.Formula
-	// QueryText keys the verdict memo (the literal/formula in request
-	// syntax; "" for model queries).
+	// QueryText keys formula verdicts in the memo (the formula in
+	// canonical syntax); literal and model verdicts are keyed by Lit
+	// and kind.
 	QueryText string
 	// Budget bounds the warm solve; nil means unlimited.
 	Budget *budget.B
 }
 
-// Manager owns the compiled-artifact cache and the warm sessions.
+// seenSlots sizes the second-sighting table (a power of two).
+const seenSlots = 1 << 10
+
+// Manager owns the compiled-artifact cache, its verdict memos and the
+// warm sessions.
 type Manager struct {
 	cfg Config
 
@@ -157,14 +165,15 @@ type Manager struct {
 	arts     map[string]*list.Element // db text → artifact node
 	artList  *list.List               // front = most recently used
 	artBytes int64
+	// seen holds hashes of recently compiled texts that were not
+	// admitted, overwritten in place: Intern admits a text whose hash
+	// is here. A collision only admits a text early. Guarded by artMu.
+	seen     [seenSlots]uint32
+	seenSeed maphash.Seed
 
 	sessMu   sync.Mutex
-	sessions map[sessKey]*list.Element // (raw, sem) → session node
+	sessions map[string]*list.Element // raw fingerprint → session node
 	sessList *list.List
-	// pendingSeeds stages verdicts imported by a cluster handoff for
-	// pairs with no live session yet; session() consumes an entry when
-	// it creates the pair's warm session. Guarded by sessMu.
-	pendingSeeds map[sessKey]map[string]bool
 
 	compiledHits       atomic.Int64
 	compiledMisses     atomic.Int64
@@ -182,22 +191,18 @@ type Manager struct {
 	activeCheckouts    atomic.Int64
 }
 
+// artNode is one cached artifact; bytes is its accounted size, memo
+// entries included.
 type artNode struct {
-	text string
-	comp *Compiled
-}
-
-type sessKey struct {
-	raw string
-	sem string
+	comp  *Compiled
+	bytes int64
 }
 
 // warmSession serializes access to one incremental engine through a
 // capacity-1 channel (the checkout token). The engine may be nil —
 // retired — in which case the next checkout rebuilds it.
 type warmSession struct {
-	key  sessKey
-	comp *Compiled
+	raw  string
 	slot chan *engineState
 }
 
@@ -205,8 +210,8 @@ type warmSession struct {
 type engineState struct {
 	eng     *models.IncrementalEngine
 	ora     *oracle.NP
-	memo    map[string]bool // completed verdicts only
-	queries int             // warm queries served by the current engine
+	comp    *Compiled // the artifact whose database eng reads
+	queries int       // warm solves served by the current engine
 }
 
 // NewManager returns a manager with the given tuning.
@@ -215,7 +220,8 @@ func NewManager(cfg Config) *Manager {
 		cfg:      cfg.withDefaults(),
 		arts:     make(map[string]*list.Element),
 		artList:  list.New(),
-		sessions: make(map[sessKey]*list.Element),
+		seenSeed: maphash.MakeSeed(),
+		sessions: make(map[string]*list.Element),
 		sessList: list.New(),
 	}
 }
@@ -237,10 +243,24 @@ func (m *Manager) Lookup(text string) (*Compiled, bool) {
 }
 
 // Intern compiles (or returns the cached artifact for) a database that
-// the caller already parsed from text. Compilation happens outside the
-// cache lock; concurrent interns of the same text keep the first
-// inserted artifact.
+// the caller already parsed from text. A text enters the cache on its
+// second sighting: the first compile is returned uncached, without a
+// memo, so a stream of one-off databases never churns the LRU.
+// Compilation happens outside the cache lock; concurrent interns of
+// the same text keep the first inserted artifact.
 func (m *Manager) Intern(text string, d *db.DB) *Compiled {
+	return m.intern(text, d, false)
+}
+
+// InternDB is Intern keyed by the database's canonical surface syntax
+// (d.String()) — the entry point for callers that hold a *db.DB rather
+// than request text (soak, tests, bench). Such callers intern to query
+// repeatedly, so the artifact is cached at once.
+func (m *Manager) InternDB(d *db.DB) *Compiled {
+	return m.intern(d.String(), d, true)
+}
+
+func (m *Manager) intern(text string, d *db.DB, admit bool) *Compiled {
 	m.artMu.Lock()
 	if el, ok := m.arts[text]; ok {
 		m.artList.MoveToFront(el)
@@ -248,34 +268,52 @@ func (m *Manager) Intern(text string, d *db.DB) *Compiled {
 		m.artMu.Unlock()
 		return comp
 	}
+	if !admit {
+		h := maphash.String(m.seenSeed, text)
+		i, tag := h&(seenSlots-1), uint32(h>>32)
+		admit = m.seen[i] == tag
+		m.seen[i] = tag
+	}
 	m.artMu.Unlock()
 	comp := m.compileFor(text, d)
-	return m.insert(text, comp)
-}
-
-// insert adds a compiled artifact to the LRU (keeping the winner when
-// racing interns collide) and enforces the byte budget.
-func (m *Manager) insert(text string, comp *Compiled) *Compiled {
-	m.artMu.Lock()
-	if el, ok := m.arts[text]; ok { // lost the race: keep the winner
-		m.artList.MoveToFront(el)
-		comp = el.Value.(*artNode).comp
-		m.artMu.Unlock()
+	if !admit {
 		return comp
 	}
-	el := m.artList.PushFront(&artNode{text: text, comp: comp})
-	m.arts[text] = el
+	return m.insert(comp)
+}
+
+// insert adds a compiled artifact, with an empty verdict memo, to the
+// LRU (keeping the winner when racing interns collide) and enforces
+// the byte budget.
+func (m *Manager) insert(comp *Compiled) *Compiled {
+	m.artMu.Lock()
+	defer m.artMu.Unlock()
+	if el, ok := m.arts[comp.Text]; ok { // lost the race: keep the winner
+		m.artList.MoveToFront(el)
+		return el.Value.(*artNode).comp
+	}
+	el := m.artList.PushFront(&artNode{comp: comp, bytes: comp.Bytes})
+	m.arts[comp.Text] = el
+	comp.memo.Store(&memo{el: el})
 	m.artBytes += comp.Bytes
+	m.evictLocked()
+	return comp
+}
+
+// evictLocked drops least-recently-used artifacts, memos included,
+// until the byte budget holds. The caller holds artMu.
+func (m *Manager) evictLocked() {
 	for m.artBytes > m.cfg.MaxBytes && m.artList.Len() > 1 {
 		victim := m.artList.Back()
 		vn := victim.Value.(*artNode)
 		m.artList.Remove(victim)
-		delete(m.arts, vn.text)
-		m.artBytes -= vn.comp.Bytes
+		delete(m.arts, vn.comp.Text)
+		m.artBytes -= vn.bytes
+		if t := vn.comp.memo.Swap(nil); t != nil {
+			t.el = nil
+		}
 		m.compiledEvictions.Add(1)
 	}
-	m.artMu.Unlock()
-	return comp
 }
 
 // compileFor compiles a database text on a cache miss and checks it
@@ -298,19 +336,13 @@ func (m *Manager) compileFor(text string, d *db.DB) *Compiled {
 	return comp
 }
 
-// InternDB is Intern keyed by the database's canonical surface syntax
-// (d.String()) — the entry point for callers that hold a *db.DB rather
-// than request text (soak, tests, bench).
-func (m *Manager) InternDB(d *db.DB) *Compiled {
-	return m.Intern(d.String(), d)
-}
-
 // Query answers a request from the session layer when it can: the
-// fragment fast path first (zero NP calls), then a warm session for
-// the minimal-model family. The boolean reports whether the layer
-// handled the query — false means the caller must run the fresh path
-// (the layer never returns semantic errors; only typed budget
-// interruptions from warm solves).
+// fragment fast path first (zero NP calls), then the database's warm
+// session for the minimal-model family, which answers from the verdict
+// memo when it can. The boolean reports whether the layer handled the
+// query — false means the caller must run the fresh path (the layer
+// never returns semantic errors; only typed budget interruptions from
+// warm solves). The server reads the memo itself before calling Query.
 func (m *Manager) Query(ctx context.Context, comp *Compiled, req Request) (Result, bool) {
 	if holds, ok := fastVerdict(comp, req.Sem, req.Kind, req.Lit, req.F); ok {
 		m.fastQueries.Add(1)
@@ -319,7 +351,7 @@ func (m *Manager) Query(ctx context.Context, comp *Compiled, req Request) (Resul
 	if !warmEligible(req.Sem, req.Kind) {
 		return Result{}, false
 	}
-	sess := m.session(comp, req.Sem)
+	sess := m.session(comp)
 	st, ok := m.checkout(ctx, sess)
 	if !ok {
 		m.checkoutTimeouts.Add(1)
@@ -346,19 +378,23 @@ func WarmEligible(sem string, kind Kind) bool {
 }
 
 // warmOne answers one warm-eligible query on an already checked-out
-// engine token: memo lookup, lazy engine (re)build, per-query budget
+// engine token: memo lookup (a query that waited for the checkout may
+// find its verdict there), lazy engine (re)build, per-query budget
 // attach, counter delta, and retirement on interrupt or staleness.
 func (m *Manager) warmOne(st *engineState, comp *Compiled, req Request) Result {
-	memoKey := req.Kind.String() + "|" + req.QueryText
-	if v, ok := st.memo[memoKey]; ok {
-		m.memoHits.Add(1)
-		m.warmQueries.Add(1)
-		return Result{Holds: v, Path: "session"}
+	if holds, ok := m.Recall(comp, req); ok {
+		return Result{Holds: holds, Path: "memo"}
 	}
 	if st.eng == nil {
 		st.ora = oracle.NewNP()
 		st.eng = models.NewIncrementalEngine(comp.D, st.ora)
-		st.queries = 0
+		st.comp, st.queries = comp, 0
+	} else if st.comp.memo.Load() == nil && comp.memo.Load() != nil {
+		// The engine was built on an artifact that is not cached (a
+		// first sighting, or evicted): move it onto this cached one so
+		// the other copy of the database can be collected. Equal Raw
+		// means equal vocabulary size and clauses, all the engine reads.
+		st.eng.DB, st.comp = comp.D, comp
 	}
 	st.ora.WithBudget(req.Budget)
 	st.eng.SetBudget(req.Budget)
@@ -375,19 +411,15 @@ func (m *Manager) warmOne(st *engineState, comp *Compiled, req Request) Result {
 	m.warmQueries.Add(1)
 	if err != nil {
 		// Interrupted mid-query: the engine's solver may hold a
-		// partially budget-tripped state — retire it (the memo, holding
-		// only completed verdicts, survives).
-		st.eng, st.ora = nil, nil
+		// partially budget-tripped state — retire it.
+		st.eng, st.ora, st.comp = nil, nil, nil
 		m.retired.Add(1)
 		return Result{Err: err, Counters: delta, Path: "session"}
 	}
-	st.memo[memoKey] = holds
-	if ps := m.cfg.Store; ps != nil {
-		ps.PutVerdict(store.Verdict{Raw: comp.Raw, Sem: req.Sem, MemoKey: memoKey, Holds: holds})
-	}
+	m.Remember(comp, req, holds, true)
 	st.queries++
 	if st.queries >= m.cfg.MaxQueriesPerSession || st.eng.Vars() > m.cfg.MaxVars {
-		st.eng, st.ora = nil, nil
+		st.eng, st.ora, st.comp = nil, nil, nil
 		m.retired.Add(1)
 	}
 	return Result{Holds: holds, Counters: delta, Path: "session"}
@@ -402,47 +434,46 @@ type BatchOutcome struct {
 }
 
 // Batch answers many requests against one compiled database, paying
-// the checkout cost once per (database, semantics) group instead of
-// once per query — the public form of the micro-batch window. Fast-path
+// the checkout cost once per batch instead of once per query — the
+// public form of the micro-batch window. Memo hits and fast-path
 // queries are answered inline with zero NP calls; warm-eligible
-// queries are grouped by semantics and executed back-to-back on a
-// single checked-out engine, in request order within each group, so
-// the NP-call total equals the same queries issued sequentially
-// through Query. A checkout that cannot be claimed within the batch
-// window leaves its whole group unhandled; a query interrupted by its
-// budget retires the engine and the next query in the group rebuilds
-// it, exactly as on the sequential path.
+// queries, whatever their semantics, execute back-to-back on the
+// database's single checked-out engine in request order, so the
+// NP-call total equals the same queries issued sequentially through
+// Query. A checkout that cannot be claimed within the batch window
+// leaves every warm query unhandled; a query interrupted by its budget
+// retires the engine and the next query rebuilds it, exactly as on the
+// sequential path.
 func (m *Manager) Batch(ctx context.Context, comp *Compiled, reqs []Request) []BatchOutcome {
 	out := make([]BatchOutcome, len(reqs))
-	var order []string
-	groups := make(map[string][]int)
+	var warm []int
 	for i, req := range reqs {
+		if holds, ok := m.Recall(comp, req); ok {
+			out[i] = BatchOutcome{Res: Result{Holds: holds, Path: "memo"}, Handled: true}
+			continue
+		}
 		if holds, ok := fastVerdict(comp, req.Sem, req.Kind, req.Lit, req.F); ok {
 			m.fastQueries.Add(1)
 			out[i] = BatchOutcome{Res: Result{Holds: holds, Path: "fast"}, Handled: true}
 			continue
 		}
-		if !warmEligible(req.Sem, req.Kind) {
-			continue
+		if warmEligible(req.Sem, req.Kind) {
+			warm = append(warm, i)
 		}
-		if _, seen := groups[req.Sem]; !seen {
-			order = append(order, req.Sem)
-		}
-		groups[req.Sem] = append(groups[req.Sem], i)
 	}
-	for _, sem := range order {
-		idxs := groups[sem]
-		sess := m.session(comp, sem)
-		st, ok := m.checkout(ctx, sess)
-		if !ok {
-			m.checkoutTimeouts.Add(1)
-			continue // the whole group falls back to the caller's fresh path
-		}
-		for _, i := range idxs {
-			out[i] = BatchOutcome{Res: m.warmOne(st, comp, reqs[i]), Handled: true}
-		}
-		m.checkin(sess, st)
+	if len(warm) == 0 {
+		return out
 	}
+	sess := m.session(comp)
+	st, ok := m.checkout(ctx, sess)
+	if !ok {
+		m.checkoutTimeouts.Add(1)
+		return out // the warm queries fall back to the caller's fresh path
+	}
+	for _, i := range warm {
+		out[i] = BatchOutcome{Res: m.warmOne(st, comp, reqs[i]), Handled: true}
+	}
+	m.checkin(sess, st)
 	return out
 }
 
@@ -455,7 +486,8 @@ func FastVerdict(comp *Compiled, sem string, kind Kind, lit logic.Lit, f *logic.
 }
 
 // runWarm executes one warm query; budget trips surface as the typed
-// error of the named return.
+// error of the named return. No branch reads req.Sem: every warm
+// semantics asks MMEntails or HasModel over comp.D with FullMin.
 func (m *Manager) runWarm(st *engineState, comp *Compiled, req Request) (holds bool, err error) {
 	defer budget.Recover(&err)
 	part := models.FullMin(comp.N)
@@ -475,46 +507,28 @@ func (m *Manager) runWarm(st *engineState, comp *Compiled, req Request) (holds b
 	}
 }
 
-// session returns (creating if needed) the warm session for the pair,
-// evicting the least-recently-used session beyond the bound.
-func (m *Manager) session(comp *Compiled, sem string) *warmSession {
-	key := sessKey{raw: comp.Raw, sem: sem}
+// session returns (creating if needed) the warm session for the
+// database, evicting the least-recently-used session beyond the bound.
+// Sessions key on the raw fingerprint: equal Raw means a byte-identical
+// indexed CNF, which is all a warm query reads, so texts that share it
+// share one engine.
+func (m *Manager) session(comp *Compiled) *warmSession {
 	m.sessMu.Lock()
-	if el, ok := m.sessions[key]; ok {
+	if el, ok := m.sessions[comp.Raw]; ok {
 		m.sessList.MoveToFront(el)
 		s := el.Value.(*warmSession)
 		m.sessMu.Unlock()
 		return s
 	}
-	s := &warmSession{key: key, comp: comp, slot: make(chan *engineState, 1)}
-	memo := make(map[string]bool)
-	if pend, ok := m.pendingSeeds[key]; ok {
-		// Verdicts handed off by a draining peer before this pair's
-		// first query: fold them in and clear the staging entry.
-		for k, v := range pend {
-			memo[k] = v
-		}
-		delete(m.pendingSeeds, key)
-		m.storeVerdictSeeds.Add(int64(len(memo)))
-	}
-	if st := m.cfg.Store; st != nil {
-		// Seed the verdict memo from persisted completed verdicts: equal
-		// Raw means the indexed CNF is byte-identical, so verdicts from a
-		// previous process transfer verbatim and replays cost zero NP.
-		pre := len(memo)
-		for k, v := range st.Verdicts(comp.Raw, sem) {
-			memo[k] = v
-		}
-		m.storeVerdictSeeds.Add(int64(len(memo) - pre))
-	}
-	s.slot <- &engineState{memo: memo}
+	s := &warmSession{raw: comp.Raw, slot: make(chan *engineState, 1)}
+	s.slot <- &engineState{}
 	el := m.sessList.PushFront(s)
-	m.sessions[key] = el
+	m.sessions[comp.Raw] = el
 	for m.sessList.Len() > m.cfg.MaxSessions {
 		victim := m.sessList.Back()
 		vs := victim.Value.(*warmSession)
 		m.sessList.Remove(victim)
-		delete(m.sessions, vs.key)
+		delete(m.sessions, vs.raw)
 		// An outstanding checkout of the evicted session finishes
 		// normally and checks back into the orphaned slot, which is
 		// then garbage-collected.

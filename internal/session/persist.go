@@ -12,8 +12,8 @@ import (
 // each entry's database text is re-parsed and recompiled (polynomial)
 // and its fragment cross-checked against the record — so a pre-warmed
 // restart answers hot-DB queries with zero cold compiles. Verdict
-// memos are not materialized here; they seed lazily (and cheaply) when
-// the first query creates each warm session.
+// memos are not materialized here; each semantics' persisted verdicts
+// fold into an artifact's memo when that semantics first reaches it.
 //
 // Damaged or stale entries are skipped, not fatal: the store's
 // recovery already dropped torn records, and anything skipped here is
@@ -35,7 +35,7 @@ func (m *Manager) Prewarm() (int, error) {
 		if uint8(comp.Frag) != a.Frag {
 			continue // predates a compiler change: re-derive on demand
 		}
-		m.insert(a.Text, comp)
+		m.insert(comp)
 		m.prewarmedArtifacts.Add(1)
 		loaded++
 	}

@@ -49,6 +49,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
@@ -750,11 +751,12 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
+// splitKey inverts raw+"\x00"+sem. It splits at the last NUL: a raw
+// fingerprint holds NUL bytes (uvarint 0 is atom 0's positive
+// literal), a semantics name none.
 func splitKey(vk string) (raw, sem string) {
-	for i := 0; i < len(vk); i++ {
-		if vk[i] == 0 {
-			return vk[:i], vk[i+1:]
-		}
+	if i := strings.LastIndexByte(vk, 0); i >= 0 {
+		return vk[:i], vk[i+1:]
 	}
 	return vk, ""
 }

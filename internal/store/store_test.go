@@ -540,3 +540,18 @@ func TestConcurrentPuts(t *testing.T) {
 		t.Fatalf("concurrent artifacts persisted = %d, want 8", rec.Artifacts)
 	}
 }
+
+// TestAllVerdictsKeepsNULInRaw: a raw fingerprint holds NUL bytes
+// (uvarint 0 is atom 0's positive literal), so AllVerdicts must split
+// its index key at the semantics, not at the first NUL — the handoff
+// export ships what it returns.
+func TestAllVerdictsKeepsNULInRaw(t *testing.T) {
+	s, _ := openT(t, t.TempDir())
+	defer s.Close()
+	want := Verdict{Raw: "\x02\x01\x02\x00\x02", Sem: "GCWA", MemoKey: "literal|-a", Holds: true}
+	s.PutVerdict(want)
+	got := s.AllVerdicts()
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("AllVerdicts = %+v, want [%+v]", got, want)
+	}
+}

@@ -85,8 +85,12 @@ wait_ready "$R2URL" "churn-smoke: router 2" "$R2LOG" "$R2PID"
 # --- phase 1: verified warmup --------------------------------------
 # The hot-DB pool this seed draws is the same pool the churn storm
 # replays, so every key the joiner will own is warmed on a donor now.
-"$LOAD" -url "$R1URL" -rate 400 -requests 200 -seed 21 -maxatoms 6 \
-    -hotdbs 32 -deadline 10s -verify
+# Twice: a text enters a worker's artifact cache on its second
+# sighting, and only cached artifacts are shipped to a joiner.
+for pass in 1 2; do
+    "$LOAD" -url "$R1URL" -rate 400 -requests 200 -seed 21 -maxatoms 6 \
+        -hotdbs 32 -deadline 10s -verify
+done
 
 # --- phase 2: churn storm ------------------------------------------
 # A 4th worker comes up OUTSIDE the ring; mid-load it warm-joins via
