@@ -46,7 +46,7 @@ func main() {
 		faultSeed     = flag.Int64("faultseed", 1, "fault injection seed")
 		sessions      = flag.Bool("sessions", false, "enable warm query sessions: compiled-DB cache, verdict memo, fragment fast paths, request coalescing")
 		sessBytes     = flag.Int64("sessionbytes", 0, "compiled-DB cache byte budget (0 = 64 MiB default)")
-		sessMax       = flag.Int("sessionmax", 0, "max resident warm sessions, one per database (0 = default 64)")
+		sessMax       = flag.Int("sessionmax", 0, "max resident warm sessions, one per (database, semantics) pair (0 = default 64)")
 		sessQueries   = flag.Int("sessionqueries", 0, "warm solves before a database's engine is retired (0 = default 512)")
 		sessWindow    = flag.Duration("sessionwindow", 0, "micro-batch wait for a busy session before falling back fresh (0 = default 2ms)")
 		batchMax      = flag.Int("batchmax", 0, "max queries per /v1/batch request (0 = default 256)")

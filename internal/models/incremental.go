@@ -185,6 +185,13 @@ func (e *IncrementalEngine) deactivate(act int) {
 	e.solver.AddClause(sat.MkLit(act, false))
 }
 
+// Trim releases the solver's spare capacity and the engine's query
+// scratch (sat.Solver.Trim); later answers are unchanged.
+func (e *IncrementalEngine) Trim() {
+	e.solver.Trim()
+	e.assumps, e.scratch = nil, nil
+}
+
 // Vars returns the current solver variable count (base atoms plus all
 // activation and auxiliary variables allocated so far) — the staleness
 // measure warm sessions retire engines on.

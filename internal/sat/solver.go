@@ -321,6 +321,53 @@ func (s *Solver) CopyFrom(src *Solver) {
 	s.stats = src.stats
 }
 
+// Trim releases the spare capacity the solver's slices accumulated
+// while growing, and its analysis scratch, for a solver that may sit
+// idle between calls: every slice is copied down to its length, so
+// the state — and every later verdict, model and Stats — is exactly
+// that of the untrimmed solver. The next growth reallocates.
+func (s *Solver) Trim() {
+	if len(s.trailLn) != 0 {
+		panic("sat: Trim of a solver inside Solve")
+	}
+	s.arena = clip(s.arena)
+	s.learnts = clip(s.learnts)
+	s.watches = clip(s.watches)
+	for i, ws := range s.watches {
+		s.watches[i] = clip(ws)
+	}
+	s.assign = clip(s.assign)
+	s.level = clip(s.level)
+	s.reason = clip(s.reason)
+	s.trail = clip(s.trail)
+	s.trailLn = nil
+	s.activity = clip(s.activity)
+	s.order.heap = clip(s.order.heap)
+	s.order.index = clip(s.order.index)
+	s.phase = clip(s.phase)
+	s.seen = clip(s.seen)
+	s.litMark = clip(s.litMark)
+	s.assumed = clip(s.assumed)
+	s.model = clip(s.model)
+	s.finalConf = clip(s.finalConf)
+	s.scratch.learnt, s.scratch.toClear, s.scratch.clause = nil, nil, nil
+	s.scratch.acts, s.scratch.reloc = nil, nil
+}
+
+// clip returns xs with no spare capacity, copying only when it has
+// some; an empty slice becomes nil.
+func clip[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	if len(xs) == cap(xs) {
+		return xs
+	}
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
+}
+
 // NumVars returns the number of variables.
 func (s *Solver) NumVars() int { return s.nVars }
 

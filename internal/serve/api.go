@@ -89,7 +89,8 @@ type QueryResponse struct {
 	// zero counters and no admission slot), "fast" (fragment fast
 	// path, zero NP calls), "session" (warm incremental engine),
 	// "coalesced" (shared from a concurrent identical request —
-	// counters and timings are the leader's), or, with the planner on,
+	// counters and timings are the leader's, limits the request's
+	// own), or, with the planner on,
 	// "brute" (refsem model-set construction, zero NP calls). Empty for
 	// the fresh path.
 	Path    string  `json:"path,omitempty"`

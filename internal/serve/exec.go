@@ -166,14 +166,15 @@ func (s *Server) observeCost(pq parsedQuery, resp QueryResponse) {
 	})
 }
 
-// executeSession offers one query to the warm session layer. The
-// boolean reports whether the layer handled it; false sends the
-// caller down the fresh path. A handled query's response carries the
-// session's own counters (zero on memo hits and fast paths) and its
+// executeSession offers one query to the session layer's fast path
+// and warm sessions (the handler read the verdict memo before
+// planning). The boolean reports whether the layer handled it; false
+// sends the caller down the fresh path. A handled query's response
+// carries the session's own counters (zero on the fast path) and its
 // route in Path.
 func (s *Server) executeSession(ctx context.Context, kind string, pq parsedQuery) (QueryResponse, bool) {
 	start := time.Now()
-	res, handled := s.sessions.Query(ctx, pq.comp, pq.sessionRequest(kind, budget.New(ctx, pq.eff)))
+	res, handled := s.sessions.Solve(ctx, pq.comp, pq.sessionRequest(kind, budget.New(ctx, pq.eff)))
 	if !handled {
 		return QueryResponse{}, false
 	}

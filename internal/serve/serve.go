@@ -771,6 +771,7 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 						s.stats.coalesced.Add(1)
 						resp := f.resp
 						resp.Path = "coalesced"
+						resp.Limits = LimitsFrom(pq.eff)
 						resp.QueueMS = float64(res.waited) / float64(time.Millisecond)
 						br.record(false)
 						s.stats.completed.Add(1)

@@ -148,6 +148,69 @@ func TestServeCoalescesIdenticalConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestServeCoalescedFollowerEchoesOwnLimits: limits are not part of
+// the coalescing key, so a follower may join a leader that asked for
+// other limits; the shared answer must still echo the follower's own
+// clamped limits, as a memo hit does.
+func TestServeCoalescedFollowerEchoesOwnLimits(t *testing.T) {
+	srv, ts := newSessionServer(t, Config{MaxConcurrent: 2})
+	leaderIn := make(chan struct{})
+	followerIn := make(chan struct{})
+	srv.flightHook = func(leader bool) {
+		if leader {
+			close(leaderIn)
+			<-followerIn
+		} else {
+			close(followerIn)
+		}
+	}
+
+	base := QueryRequest{Semantics: "CIRC", DB: "a | b. b | c. c | a.", Literal: "-a"}
+	leaderReq, followerReq := base, base
+	leaderReq.Limits = LimitsJSON{NPCalls: 1000}
+	followerReq.Limits = LimitsJSON{Conflicts: 5000, DeadlineMS: 60000}
+	type result struct {
+		status int
+		body   []byte
+	}
+	leaderRes, followerRes := make(chan result, 1), make(chan result, 1)
+	go func() {
+		status, body := post(t, ts, "/v1/infer/literal", leaderReq)
+		leaderRes <- result{status, body}
+	}()
+	<-leaderIn
+	go func() {
+		status, body := post(t, ts, "/v1/infer/literal", followerReq)
+		followerRes <- result{status, body}
+	}()
+
+	want := directVerdict(t, base.Semantics, base.DB, base.Literal)
+	for _, c := range []struct {
+		name   string
+		res    chan result
+		limits LimitsJSON
+	}{{"leader", leaderRes, leaderReq.Limits}, {"follower", followerRes, followerReq.Limits}} {
+		select {
+		case res := <-c.res:
+			if res.status != http.StatusOK {
+				t.Fatalf("%s: status %d body %s", c.name, res.status, res.body)
+			}
+			qr := decodeQueryResponse(t, res.body)
+			if qr.Incomplete || qr.Holds != want {
+				t.Fatalf("%s: verdict %s/%v, want complete %v", c.name, qr.Verdict, qr.Holds, want)
+			}
+			if qr.Limits != c.limits {
+				t.Fatalf("%s: limits %+v, want its own %+v", c.name, qr.Limits, c.limits)
+			}
+			if c.name == "follower" && qr.Path != "coalesced" {
+				t.Fatalf("follower path %q, want coalesced", qr.Path)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never completed", c.name)
+		}
+	}
+}
+
 // TestServeCoalesceNeverSharesIncomplete: a leader whose verdict is
 // incomplete (here: a 1-NP-call ceiling trips its warm solve) must not
 // hand that verdict to the follower — the follower re-executes and

@@ -17,9 +17,9 @@
 //     P-cell membership arguments — for exactly the semantics whose
 //     model set provably collapses on the fragment.
 //  4. Warm incremental solver sessions: for the minimal-model family
-//     (GCWA/CCWA/EGCWA/ECWA/CIRC) one session per database keeps one
-//     models.IncrementalEngine alive across requests of all five
-//     semantics (each asks MM(DB) ⊨ F or model existence); queries
+//     (GCWA/CCWA/EGCWA/ECWA/CIRC) one session per (database,
+//     semantics) pair keeps one models.IncrementalEngine alive across
+//     requests (each asks MM(DB) ⊨ F or model existence); queries
 //     attach through activation literals and learned clauses persist.
 //
 // Verdicts are identical to the fresh path by construction (the

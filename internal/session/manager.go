@@ -41,8 +41,7 @@ func (k Kind) String() string {
 // sessions (under the default full-minimisation partition): their
 // literal queries — and for the E-family also formula queries — reduce
 // to MM(DB) ⊨ F, which IncrementalEngine.MMEntails answers on the
-// shared solver. No warm query depends on which of the five asked it,
-// so one engine per database serves all five. GCWA/CCWA formula inference is closure-based and does
+// shared solver. GCWA/CCWA formula inference is closure-based and does
 // NOT coincide with MMEntails (e.g. DB = {a∨b} minimally entails
 // ¬a∨¬b but its GCWA closure does not), so those fall through fresh.
 var warmSems = map[string]bool{
@@ -57,13 +56,13 @@ var warmFormulaSems = map[string]bool{
 type Config struct {
 	// MaxBytes is the compiled-artifact LRU budget (default 64 MiB).
 	MaxBytes int64
-	// MaxSessions bounds the warm sessions kept, one per database
-	// fingerprint shared by all five warm semantics (default 64).
+	// MaxSessions bounds the warm sessions kept, one per (database
+	// fingerprint, semantics) pair (default 64).
 	MaxSessions int
-	// MaxQueriesPerSession retires a database's engine after this many
-	// warm solves across its semantics, bounding activation-variable
-	// and learned-clause growth (default 512). Memo hits do not count,
-	// and the verdict memo lives on the artifact, not the engine.
+	// MaxQueriesPerSession retires a session's engine after this many
+	// warm solves, bounding activation-variable and learned-clause
+	// growth (default 512). Memo hits do not count, and the verdict
+	// memo lives on the artifact, not the engine.
 	MaxQueriesPerSession int
 	// MaxVars retires the engine when the shared solver's variable
 	// count exceeds it (default 1 << 16).
@@ -114,7 +113,7 @@ type Stats struct {
 	CheckoutTimeouts  int64 // batch-window expiries (fell back fresh)
 	Retired           int64 // engines retired (staleness or interrupt)
 	ActiveCheckouts   int64 // gauge: sessions currently checked out
-	Sessions          int64 // gauge: warm sessions (databases) resident
+	Sessions          int64 // gauge: warm (database, semantics) sessions resident
 
 	// Store-tier counters. Without a store every compile is cold and
 	// the others stay zero.
@@ -153,7 +152,14 @@ type Request struct {
 	Budget *budget.B
 }
 
-// seenSlots sizes the second-sighting table (a power of two).
+// seenSlots sizes the second-sighting table (a power of two). A text
+// is cached only when it repeats before its slot is overwritten, that
+// is within roughly seenSlots distinct other texts; one that repeats
+// further apart compiles afresh each time, where an LRU admitting on
+// first sight might still have held it. In the benchmark workloads
+// every repeat in hot-routed and stream-minimal comes within 64
+// distinct texts; cold-mixed repeats 0.3 % of its texts, almost all
+// further apart than 1024 (EXPERIMENTS.md).
 const seenSlots = 1 << 10
 
 // Manager owns the compiled-artifact cache, its verdict memos and the
@@ -172,7 +178,7 @@ type Manager struct {
 	seenSeed maphash.Seed
 
 	sessMu   sync.Mutex
-	sessions map[string]*list.Element // raw fingerprint → session node
+	sessions map[sessKey]*list.Element // (raw, sem) → session node
 	sessList *list.List
 
 	compiledHits       atomic.Int64
@@ -198,11 +204,22 @@ type artNode struct {
 	bytes int64
 }
 
+// sessKey names one warm session. Equal Raw means a byte-identical
+// indexed CNF, which is all a warm query reads, so texts that share it
+// share the session. Each semantics keeps its own engine: learned
+// clauses and activation state steer the minimal-model search, so an
+// engine shared across semantics would change every semantics' NP
+// totals with the order of the traffic.
+type sessKey struct {
+	raw string
+	sem string
+}
+
 // warmSession serializes access to one incremental engine through a
 // capacity-1 channel (the checkout token). The engine may be nil —
 // retired — in which case the next checkout rebuilds it.
 type warmSession struct {
-	raw  string
+	key  sessKey
 	slot chan *engineState
 }
 
@@ -221,7 +238,7 @@ func NewManager(cfg Config) *Manager {
 		arts:     make(map[string]*list.Element),
 		artList:  list.New(),
 		seenSeed: maphash.MakeSeed(),
-		sessions: make(map[string]*list.Element),
+		sessions: make(map[sessKey]*list.Element),
 		sessList: list.New(),
 	}
 }
@@ -337,13 +354,22 @@ func (m *Manager) compileFor(text string, d *db.DB) *Compiled {
 }
 
 // Query answers a request from the session layer when it can: the
-// fragment fast path first (zero NP calls), then the database's warm
-// session for the minimal-model family, which answers from the verdict
-// memo when it can. The boolean reports whether the layer handled the
-// query — false means the caller must run the fresh path (the layer
-// never returns semantic errors; only typed budget interruptions from
-// warm solves). The server reads the memo itself before calling Query.
+// verdict memo first, then Solve. The boolean reports whether the
+// layer handled the query — false means the caller must run the fresh
+// path (the layer never returns semantic errors; only typed budget
+// interruptions from warm solves).
 func (m *Manager) Query(ctx context.Context, comp *Compiled, req Request) (Result, bool) {
+	if holds, ok := m.Recall(comp, req); ok {
+		return Result{Holds: holds, Path: "memo"}, true
+	}
+	return m.Solve(ctx, comp, req)
+}
+
+// Solve is Query without the memo read, for a caller that has just
+// read the memo itself (the server does, before planning): the
+// fragment fast path (zero NP calls), then the warm session of the
+// (database, semantics) pair for the minimal-model family.
+func (m *Manager) Solve(ctx context.Context, comp *Compiled, req Request) (Result, bool) {
 	if holds, ok := fastVerdict(comp, req.Sem, req.Kind, req.Lit, req.F); ok {
 		m.fastQueries.Add(1)
 		return Result{Holds: holds, Path: "fast"}, true
@@ -351,7 +377,7 @@ func (m *Manager) Query(ctx context.Context, comp *Compiled, req Request) (Resul
 	if !warmEligible(req.Sem, req.Kind) {
 		return Result{}, false
 	}
-	sess := m.session(comp)
+	sess := m.session(comp, req.Sem)
 	st, ok := m.checkout(ctx, sess)
 	if !ok {
 		m.checkoutTimeouts.Add(1)
@@ -378,13 +404,10 @@ func WarmEligible(sem string, kind Kind) bool {
 }
 
 // warmOne answers one warm-eligible query on an already checked-out
-// engine token: memo lookup (a query that waited for the checkout may
-// find its verdict there), lazy engine (re)build, per-query budget
-// attach, counter delta, and retirement on interrupt or staleness.
+// engine token (its caller has read the memo): lazy engine (re)build,
+// per-query budget attach, counter delta, and retirement on interrupt
+// or staleness.
 func (m *Manager) warmOne(st *engineState, comp *Compiled, req Request) Result {
-	if holds, ok := m.Recall(comp, req); ok {
-		return Result{Holds: holds, Path: "memo"}
-	}
 	if st.eng == nil {
 		st.ora = oracle.NewNP()
 		st.eng = models.NewIncrementalEngine(comp.D, st.ora)
@@ -434,19 +457,20 @@ type BatchOutcome struct {
 }
 
 // Batch answers many requests against one compiled database, paying
-// the checkout cost once per batch instead of once per query — the
-// public form of the micro-batch window. Memo hits and fast-path
-// queries are answered inline with zero NP calls; warm-eligible
-// queries, whatever their semantics, execute back-to-back on the
-// database's single checked-out engine in request order, so the
-// NP-call total equals the same queries issued sequentially through
-// Query. A checkout that cannot be claimed within the batch window
-// leaves every warm query unhandled; a query interrupted by its budget
-// retires the engine and the next query rebuilds it, exactly as on the
-// sequential path.
+// the checkout cost once per (database, semantics) group instead of
+// once per query — the public form of the micro-batch window. Memo
+// hits and fast-path queries are answered inline with zero NP calls;
+// warm-eligible queries are grouped by semantics and executed
+// back-to-back on a single checked-out engine, in request order within
+// each group, so the NP-call total equals the same queries issued
+// sequentially through Query. A checkout that cannot be claimed within
+// the batch window leaves its whole group unhandled; a query
+// interrupted by its budget retires the engine and the next query in
+// the group rebuilds it, exactly as on the sequential path.
 func (m *Manager) Batch(ctx context.Context, comp *Compiled, reqs []Request) []BatchOutcome {
 	out := make([]BatchOutcome, len(reqs))
-	var warm []int
+	var order []string
+	groups := make(map[string][]int)
 	for i, req := range reqs {
 		if holds, ok := m.Recall(comp, req); ok {
 			out[i] = BatchOutcome{Res: Result{Holds: holds, Path: "memo"}, Handled: true}
@@ -457,23 +481,26 @@ func (m *Manager) Batch(ctx context.Context, comp *Compiled, reqs []Request) []B
 			out[i] = BatchOutcome{Res: Result{Holds: holds, Path: "fast"}, Handled: true}
 			continue
 		}
-		if warmEligible(req.Sem, req.Kind) {
-			warm = append(warm, i)
+		if !warmEligible(req.Sem, req.Kind) {
+			continue
 		}
+		if _, seen := groups[req.Sem]; !seen {
+			order = append(order, req.Sem)
+		}
+		groups[req.Sem] = append(groups[req.Sem], i)
 	}
-	if len(warm) == 0 {
-		return out
+	for _, sem := range order {
+		sess := m.session(comp, sem)
+		st, ok := m.checkout(ctx, sess)
+		if !ok {
+			m.checkoutTimeouts.Add(1)
+			continue // the whole group falls back to the caller's fresh path
+		}
+		for _, i := range groups[sem] {
+			out[i] = BatchOutcome{Res: m.warmOne(st, comp, reqs[i]), Handled: true}
+		}
+		m.checkin(sess, st)
 	}
-	sess := m.session(comp)
-	st, ok := m.checkout(ctx, sess)
-	if !ok {
-		m.checkoutTimeouts.Add(1)
-		return out // the warm queries fall back to the caller's fresh path
-	}
-	for _, i := range warm {
-		out[i] = BatchOutcome{Res: m.warmOne(st, comp, reqs[i]), Handled: true}
-	}
-	m.checkin(sess, st)
 	return out
 }
 
@@ -486,8 +513,8 @@ func FastVerdict(comp *Compiled, sem string, kind Kind, lit logic.Lit, f *logic.
 }
 
 // runWarm executes one warm query; budget trips surface as the typed
-// error of the named return. No branch reads req.Sem: every warm
-// semantics asks MMEntails or HasModel over comp.D with FullMin.
+// error of the named return. Every warm semantics asks MMEntails or
+// HasModel over comp.D with FullMin.
 func (m *Manager) runWarm(st *engineState, comp *Compiled, req Request) (holds bool, err error) {
 	defer budget.Recover(&err)
 	part := models.FullMin(comp.N)
@@ -508,27 +535,26 @@ func (m *Manager) runWarm(st *engineState, comp *Compiled, req Request) (holds b
 }
 
 // session returns (creating if needed) the warm session for the
-// database, evicting the least-recently-used session beyond the bound.
-// Sessions key on the raw fingerprint: equal Raw means a byte-identical
-// indexed CNF, which is all a warm query reads, so texts that share it
-// share one engine.
-func (m *Manager) session(comp *Compiled) *warmSession {
+// (database, semantics) pair, evicting the least-recently-used session
+// beyond the bound.
+func (m *Manager) session(comp *Compiled, sem string) *warmSession {
+	key := sessKey{raw: comp.Raw, sem: sem}
 	m.sessMu.Lock()
-	if el, ok := m.sessions[comp.Raw]; ok {
+	if el, ok := m.sessions[key]; ok {
 		m.sessList.MoveToFront(el)
 		s := el.Value.(*warmSession)
 		m.sessMu.Unlock()
 		return s
 	}
-	s := &warmSession{raw: comp.Raw, slot: make(chan *engineState, 1)}
+	s := &warmSession{key: key, slot: make(chan *engineState, 1)}
 	s.slot <- &engineState{}
 	el := m.sessList.PushFront(s)
-	m.sessions[comp.Raw] = el
+	m.sessions[key] = el
 	for m.sessList.Len() > m.cfg.MaxSessions {
 		victim := m.sessList.Back()
 		vs := victim.Value.(*warmSession)
 		m.sessList.Remove(victim)
-		delete(m.sessions, vs.raw)
+		delete(m.sessions, vs.key)
 		// An outstanding checkout of the evicted session finishes
 		// normally and checks back into the orphaned slot, which is
 		// then garbage-collected.
@@ -561,8 +587,13 @@ func (m *Manager) checkout(ctx context.Context, s *warmSession) (*engineState, b
 	}
 }
 
-// checkin returns the engine token.
+// checkin returns the engine token. An engine on a cached artifact
+// may then sit idle until its pair's next novel query (repeats answer
+// from the memo), so it goes back without spare capacity.
 func (m *Manager) checkin(s *warmSession, st *engineState) {
+	if st.eng != nil && st.comp.memo.Load() != nil {
+		st.eng.Trim()
+	}
 	m.activeCheckouts.Add(-1)
 	s.slot <- st
 }

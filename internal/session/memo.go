@@ -201,7 +201,7 @@ func (m *Manager) seedLocked(t *memo, comp *Compiled, id int, sem string) int64 
 // seedKey records one persisted or handed-off verdict; ok reports
 // whether the record applies to this artifact and was new.
 func (t *memo) seedKey(comp *Compiled, id int, key string, holds bool) (int64, bool) {
-	kind, lit, text, ok := parseMemoKey(comp, key)
+	kind, lit, text, ok := parseMemoKey(comp, semIndex()[id], key)
 	if !ok {
 		return 0, false
 	}
@@ -221,12 +221,18 @@ func memoKey(comp *Compiled, kind Kind, lit logic.Lit, text string) string {
 	return kind.String() + "|" + text + "\x00" + comp.textDigest()
 }
 
-// parseMemoKey inverts memoKey against an artifact. A key that names
-// another text's digest does not apply. A key without a digest was
-// written before digests existed, by the warm minimal-model semantics
-// alone; it is accepted as it was then.
-func parseMemoKey(comp *Compiled, key string) (kind Kind, lit logic.Lit, text string, ok bool) {
-	if i := strings.IndexByte(key, 0); i >= 0 {
+// parseMemoKey inverts memoKey against an artifact asked under sem.
+// A key that names another text's digest does not apply. A key
+// without a digest was written before digests existed, by the warm
+// minimal-model semantics alone, for any text with the artifact's
+// RawKey; only its model verdicts are accepted, since a warm
+// semantics' model existence is satisfiability of the shared CNF. Its
+// literal and formula records name atoms, and texts with one RawKey
+// may number their atoms differently ("a. b | c." and "b. a | c."),
+// so those are dropped and cost one recompute each.
+func parseMemoKey(comp *Compiled, sem, key string) (kind Kind, lit logic.Lit, text string, ok bool) {
+	i := strings.IndexByte(key, 0)
+	if i >= 0 {
 		if key[i+1:] != comp.textDigest() {
 			return 0, 0, "", false
 		}
@@ -234,6 +240,9 @@ func parseMemoKey(comp *Compiled, key string) (kind Kind, lit logic.Lit, text st
 	}
 	k, text, found := strings.Cut(key, "|")
 	if !found {
+		return 0, 0, "", false
+	}
+	if i < 0 && (k != "model" || !warmSems[sem]) {
 		return 0, 0, "", false
 	}
 	switch k {
