@@ -1,10 +1,11 @@
 // Package plan is the cost-based query planner: it classifies each
 // incoming query into a cost class before admission — from the
-// semantics' complexity cells (core.Info.Cells), the PR 5 fragment
-// classifier, and compiled-DB size features — maintains a
-// per-(fingerprint, semantics) moving-average cost model calibrated
-// online from the oracle/conflict/wall-clock counters every completed
-// query produces, and picks the cheapest correct procedure: the
+// semantics' complexity cells (core.Info.Cells), the session layer's
+// fragment classifier, and compiled-DB size features — maintains a
+// per-(fingerprint, semantics) cost model of commutative sums (count,
+// and totals of NP calls, conflicts and microseconds; the means derive
+// on read) calibrated online from the counters every completed query
+// produces, and picks the cheapest correct procedure: the
 // fixpoint fast path, a warm session, the fresh parallel enumeration,
 // or brute-force refsem construction for tiny instances the cost model
 // has read as expensive. Exactly one procedure answers each query.

@@ -1,17 +1,12 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
 
 	"disjunct/internal/budget"
 	"disjunct/internal/core"
-	"disjunct/internal/db"
-	"disjunct/internal/logic"
 	"disjunct/internal/session"
 )
 
@@ -29,26 +24,16 @@ import (
 // wholesale batch failure. Verdicts are identical to sequential
 // requests by construction (benchgate gates NP-total equality).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.stats.shedDraining.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-		return
-	}
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 4<<20))
-	if err := dec.Decode(&req); err != nil {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "body: " + err.Error()})
+	if !s.readBody(w, r, 4<<20, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "queries: empty"})
+		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "queries: empty"})
 		return
 	}
 	if len(req.Queries) > s.cfg.BatchMaxQueries {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+		s.reject(w, http.StatusBadRequest, ErrorResponse{
 			Error:  ReasonBatchTooLarge,
 			Detail: "batch carries " + strconv.Itoa(len(req.Queries)) + " queries, cap " + strconv.Itoa(s.cfg.BatchMaxQueries),
 		})
@@ -60,30 +45,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// the compiled-DB cache; without, it is built batch-locally so the
 	// fragment partitioning still works.
 	compileStart := time.Now()
-	var comp *session.Compiled
-	if s.sessions != nil {
-		if c, ok := s.sessions.Lookup(req.DB); ok {
-			comp = c
-		}
+	comp, d, ok := s.loadDB(w, req.DB)
+	if !ok {
+		return
 	}
 	if comp == nil {
-		parsed, err := db.Parse(req.DB)
-		if err != nil {
-			s.stats.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "db: " + err.Error()})
-			return
-		}
-		if s.sessions != nil {
-			comp = s.sessions.Intern(req.DB, parsed)
-		} else {
-			comp = session.Compile(req.DB, parsed)
-		}
-	}
-	d := comp.D
-	if d.N() == 0 {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "db: empty vocabulary"})
-		return
+		comp = session.Compile(req.DB, d)
 	}
 	compileMS := float64(time.Since(compileStart)) / float64(time.Millisecond)
 	eff := clamp(req.Limits.ToLimits(), s.cfg.Ceilings)
@@ -119,69 +86,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		pq := parsedQuery{semName: semName, d: d, eff: eff, comp: comp, dbText: req.DB}
-		switch kind {
-		case "literal":
-			lit, err := parseLiteral(q.Literal, d.Voc)
-			if err != nil {
-				results[i].Error = &ErrorResponse{Error: ReasonBadRequest, Detail: "literal: " + err.Error()}
-				continue
-			}
-			pq.lit, pq.qtext = lit, d.Voc.LitString(lit)
-		case "formula":
-			f, err := logic.ParseFormula(q.Formula, d.Voc)
-			if err != nil {
-				results[i].Error = &ErrorResponse{Error: ReasonBadRequest, Detail: "formula: " + err.Error()}
-				continue
-			}
-			pq.formula, pq.qtext = f, f.String(d.Voc)
-		case "model":
-		default:
-			results[i].Error = &ErrorResponse{Error: ReasonBadRequest, Detail: "kind: " + q.Kind}
+		if err := pq.parseQuery(kind, q.Literal, q.Formula); err != nil {
+			results[i].Error = &ErrorResponse{Error: ReasonBadRequest, Detail: err.Error()}
 			continue
 		}
 		jobs = append(jobs, job{idx: i, kind: kind, pq: pq})
 	}
 
-	if !s.register() {
-		s.stats.shedDraining.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-		return
-	}
-	defer s.wg.Done()
-
 	// One admission slot for the whole batch: the queue sees a batch as
 	// a single unit of work (multi-query accounting happens in the
 	// batch_queries counter, not the queue).
-	admCtx := r.Context()
-	if eff.Deadline > 0 {
-		var cancel context.CancelFunc
-		admCtx, cancel = context.WithTimeout(admCtx, eff.Deadline)
-		defer cancel()
-	}
-	res := s.adm.admit(s.drainCtx, admCtx)
+	res := s.enter(w, r, eff.Deadline)
 	if res.shed != "" {
-		switch res.shed {
-		case ShedQueueFull:
-			s.stats.shedQueueFull.Add(1)
-			writeShed(w, http.StatusTooManyRequests, ErrorResponse{Error: ShedQueueFull, RetryAfterMS: 50})
-		case ShedQueueWait:
-			s.stats.shedQueueWait.Add(1)
-			writeShed(w, http.StatusTooManyRequests, ErrorResponse{Error: ShedQueueWait, RetryAfterMS: 50})
-		case ShedClientGone:
-			s.stats.shedClientGone.Add(1)
-			writeShed(w, statusClientClosedRequest, ErrorResponse{Error: ShedClientGone})
-		default:
-			s.stats.shedDraining.Add(1)
-			writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-		}
 		return
 	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	defer res.release()
-	if s.testHook != nil {
-		s.testHook()
-	}
+	defer s.leave(res)
 	s.stats.batchRequests.Add(1)
 	s.stats.batchQueries.Add(int64(len(req.Queries)))
 
@@ -219,13 +138,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// The per-query budgets observe both the client connection and the
 	// server's drain deadline, exactly as standalone requests do.
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	stop := context.AfterFunc(s.baseCtx, func() { cancel(context.Cause(s.baseCtx)) })
-	defer stop()
-	if s.baseCtx.Err() != nil {
-		cancel(context.Cause(s.baseCtx))
-	}
+	ctx, l := linkCtx(r.Context(), s.baseCtx)
+	defer l.unlink()
 
 	// Session pass: memo hits and fast-path queries answer inline;
 	// warm-eligible queries run back-to-back on the database's one
@@ -271,13 +185,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		j.pq.comp = nil
 		resp, semErr := s.execute(r.Context(), j.kind, j.pq)
 		if semErr != nil {
-			reason := ReasonUnsupported
-			if errors.Is(semErr, core.ErrNotStratifiable) {
-				reason = ReasonNotStratifiable
-			}
-			results[j.idx].Error = &ErrorResponse{
-				Error: reason, Semantics: j.pq.semName, Detail: semErr.Error(),
-			}
+			e := semanticError(j.pq.semName, semErr)
+			results[j.idx].Error = &e
 			continue
 		}
 		results[j.idx].Response = &resp

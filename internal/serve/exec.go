@@ -28,16 +28,8 @@ func (s *Server) execute(reqCtx context.Context, kind string, pq parsedQuery) (Q
 
 	// A query budget must observe both the client connection and the
 	// server's drain-deadline cancellation.
-	ctx, cancel := context.WithCancelCause(reqCtx)
-	defer cancel(nil)
-	stop := context.AfterFunc(s.baseCtx, func() { cancel(context.Cause(s.baseCtx)) })
-	defer stop()
-	// AfterFunc runs asynchronously; if the drain deadline has already
-	// fired, cancel synchronously so even an instant query cannot race
-	// past a forced drain and report a complete verdict.
-	if s.baseCtx.Err() != nil {
-		cancel(context.Cause(s.baseCtx))
-	}
+	ctx, l := linkCtx(reqCtx, s.baseCtx)
+	defer l.unlink()
 
 	// Warm session layer first: fragment fast paths (zero NP calls)
 	// and warm incremental engines for the minimal-model family.

@@ -31,6 +31,20 @@
 //     the shared base context so stragglers are interrupted through
 //     the budget layer — every interruption stays typed.
 //
+// Every route that can run a solver — /v1/infer/literal,
+// /v1/infer/formula, /v1/model, /v1/batch and /v1/models/stream —
+// enters through one front door: a drain check, a capped JSON decode
+// (1 MiB, or 4 MiB for a batch), the database load (artifact cache,
+// else parse and intern; an empty vocabulary is a typed 400), and one
+// admission gate that registers with the drain wait, queues no longer
+// than the effective deadline and answers every shed typed. What sits
+// between decode and admission is each route's own: a single query
+// passes the verdict memo, then the planner's cost shed and bulkhead,
+// then its semantics' breaker; a batch validates each query and is
+// admitted as one unit; a stream checks its kind and clamps its model
+// limit. Once admitted, solves observe the drain deadline and streams
+// the drain begin.
+//
 // /healthz reports queue depth, in-flight count, breaker states, and
 // shed/completion counters; /readyz flips to 503 the moment draining
 // begins so load balancers stop routing before the listener closes.
@@ -550,79 +564,208 @@ func parseLiteral(in string, voc *logic.Vocabulary) (logic.Lit, error) {
 	return logic.MkLit(a, !neg), nil
 }
 
-// decodeQuery validates the body for one query kind. It returns a
-// typed ErrorResponse (with its HTTP status) on any malformed input.
-func (s *Server) decodeQuery(kind string, r *http.Request) (parsedQuery, int, *ErrorResponse) {
-	var pq parsedQuery
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		return pq, http.StatusBadRequest, &ErrorResponse{Error: ReasonBadRequest, Detail: "body: " + err.Error()}
+// parseQuery parses the query text of one kind against pq's database:
+// a literal or a formula, with its canonical text; a model query has
+// none. The error's text is the wire detail of the typed 400.
+func (pq *parsedQuery) parseQuery(kind, literal, formula string) error {
+	voc := pq.d.Voc
+	switch kind {
+	case "literal":
+		lit, err := parseLiteral(literal, voc)
+		if err != nil {
+			return fmt.Errorf("literal: %w", err)
+		}
+		pq.lit, pq.qtext = lit, voc.LitString(lit)
+	case "formula":
+		f, err := logic.ParseFormula(formula, voc)
+		if err != nil {
+			return fmt.Errorf("formula: %w", err)
+		}
+		pq.formula, pq.qtext = f, f.String(voc)
+	case "model":
+	default:
+		return errors.New("kind: " + kind)
 	}
-	if _, ok := core.InfoFor(req.Semantics); !ok {
-		return pq, http.StatusNotFound, &ErrorResponse{Error: ReasonUnknownSemantics, Semantics: req.Semantics}
+	return nil
+}
+
+// The front door, in call order: readBody, loadDB, the route's own
+// checks, enter, and once admitted linkCtx. Each step writes its own
+// typed answer when it refuses a request.
+
+// readBody sheds the request with a typed 503 when the server is
+// draining, and otherwise decodes its JSON body, capped at limit
+// bytes, into v. false means it has answered.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if s.draining.Load() {
+		s.stats.shedDraining.Add(1)
+		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
+		return false
 	}
+	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(v); err != nil {
+		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "body: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// reject answers a request the service will not run (400, 404, 422).
+func (s *Server) reject(w http.ResponseWriter, status int, resp ErrorResponse) {
+	s.stats.badRequest.Add(1)
+	writeJSON(w, status, resp)
+}
+
+// semanticError is the typed 422 body of a database outside the class
+// a semantics is defined for: a semantic outcome, not a service failure.
+func semanticError(semName string, err error) ErrorResponse {
+	reason := ReasonUnsupported
+	if errors.Is(err, core.ErrNotStratifiable) {
+		reason = ReasonNotStratifiable
+	}
+	return ErrorResponse{Error: reason, Semantics: semName, Detail: err.Error()}
+}
+
+// loadDB returns the request's database and, with sessions on, its
+// compiled artifact. Hot databases skip grounding entirely: the
+// artifact (parse, CNF, fingerprint, classification) is cached by exact
+// request text and shared read-only across requests. false means it
+// has answered a typed 400 (unparseable, or an empty vocabulary).
+func (s *Server) loadDB(w http.ResponseWriter, text string) (*session.Compiled, *db.DB, bool) {
+	var comp *session.Compiled
 	var d *db.DB
 	if s.sessions != nil {
-		// Hot databases skip grounding entirely: the compiled artifact
-		// (parse, CNF, fingerprint, classification) is cached by exact
-		// request text and shared read-only across requests.
-		if comp, ok := s.sessions.Lookup(req.DB); ok {
-			pq.comp, d = comp, comp.D
+		if comp, _ = s.sessions.Lookup(text); comp != nil {
+			d = comp.D
 		}
 	}
 	if d == nil {
-		parsed, err := db.Parse(req.DB)
+		parsed, err := db.Parse(text)
 		if err != nil {
-			return pq, http.StatusBadRequest, &ErrorResponse{Error: ReasonBadRequest, Detail: "db: " + err.Error()}
+			s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "db: " + err.Error()})
+			return nil, nil, false
 		}
 		d = parsed
 		if s.sessions != nil {
-			pq.comp = s.sessions.Intern(req.DB, d)
-			d = pq.comp.D
+			comp = s.sessions.Intern(text, d)
+			d = comp.D
 		}
 	}
 	if d.N() == 0 {
-		return pq, http.StatusBadRequest, &ErrorResponse{Error: ReasonBadRequest, Detail: "db: empty vocabulary"}
+		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "db: empty vocabulary"})
+		return nil, nil, false
 	}
-	pq.semName = req.Semantics
-	pq.d = d
-	pq.dbText = req.DB
-	switch kind {
-	case "literal":
-		lit, err := parseLiteral(req.Literal, d.Voc)
-		if err != nil {
-			return pq, http.StatusBadRequest, &ErrorResponse{Error: ReasonBadRequest, Detail: "literal: " + err.Error()}
+	return comp, d, true
+}
+
+// enter is the admission gate. It registers the request with the drain
+// wait before admission, so Drain's Wait covers the whole admit+run
+// span, then waits for an execution slot no longer than the request's
+// effective deadline (measured from arrival; the solve budget restarts
+// after admission). Every shed is answered typed: 429 + Retry-After for
+// a full queue or an expired wait, 499 for a client gone while queued,
+// 503 when draining. It returns the result with its shed reason, ""
+// once admitted; an admitted request must defer s.leave(res).
+func (s *Server) enter(w http.ResponseWriter, r *http.Request, deadline time.Duration) admitResult {
+	if !s.register() {
+		s.stats.shedDraining.Add(1)
+		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
+		return admitResult{shed: ShedDraining}
+	}
+	admCtx := r.Context()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		admCtx, cancel = context.WithTimeout(admCtx, deadline)
+		defer cancel()
+	}
+	res := s.adm.admit(s.drainCtx, admCtx)
+	status, counter, retryMS := http.StatusServiceUnavailable, &s.stats.shedDraining, int64(0)
+	switch res.shed {
+	case "":
+		s.inFlight.Add(1)
+		if s.testHook != nil {
+			s.testHook()
 		}
-		pq.lit = lit
-		pq.qtext = d.Voc.LitString(lit)
-	case "formula":
-		f, err := logic.ParseFormula(req.Formula, d.Voc)
-		if err != nil {
-			return pq, http.StatusBadRequest, &ErrorResponse{Error: ReasonBadRequest, Detail: "formula: " + err.Error()}
-		}
-		pq.formula = f
-		pq.qtext = f.String(d.Voc)
+		return res
+	case ShedQueueFull:
+		status, counter, retryMS = http.StatusTooManyRequests, &s.stats.shedQueueFull, 50
+	case ShedQueueWait:
+		status, counter, retryMS = http.StatusTooManyRequests, &s.stats.shedQueueWait, 50
+	case ShedClientGone:
+		status, counter = statusClientClosedRequest, &s.stats.shedClientGone
+	}
+	counter.Add(1)
+	writeShed(w, status, ErrorResponse{Error: res.shed, RetryAfterMS: retryMS})
+	s.wg.Done()
+	return res
+}
+
+// leave returns an admitted request's execution slot and its drain
+// registration.
+func (s *Server) leave(res admitResult) {
+	res.release()
+	s.inFlight.Add(-1)
+	s.wg.Done()
+}
+
+// link ties a request context to one of the server's own: baseCtx (the
+// drain deadline) for solves, drainCtx (drain begin) for streams.
+type link struct {
+	cancel context.CancelCauseFunc
+	stop   func() bool
+}
+
+// linkCtx returns a child of reqCtx that server's cancellation also
+// cancels, with server's cause; defer the link's unlink.
+func linkCtx(reqCtx, server context.Context) (context.Context, link) {
+	ctx, cancel := context.WithCancelCause(reqCtx)
+	stop := context.AfterFunc(server, func() { cancel(context.Cause(server)) })
+	// AfterFunc runs asynchronously; if server is already cancelled,
+	// cancel synchronously so even an instant query cannot race past a
+	// forced drain and report a complete verdict.
+	if server.Err() != nil {
+		cancel(context.Cause(server))
+	}
+	return ctx, link{cancel, stop}
+}
+
+func (l link) unlink() {
+	l.stop()
+	l.cancel(nil)
+}
+
+// decodeQuery reads and validates the body for one query kind; false
+// means it has answered with a typed rejection.
+func (s *Server) decodeQuery(w http.ResponseWriter, kind string, r *http.Request) (parsedQuery, bool) {
+	var pq parsedQuery
+	var req QueryRequest
+	if !s.readBody(w, r, 1<<20, &req) {
+		return pq, false
+	}
+	if _, ok := core.InfoFor(req.Semantics); !ok {
+		s.reject(w, http.StatusNotFound, ErrorResponse{Error: ReasonUnknownSemantics, Semantics: req.Semantics})
+		return pq, false
+	}
+	var ok bool
+	if pq.comp, pq.d, ok = s.loadDB(w, req.DB); !ok {
+		return pq, false
+	}
+	pq.semName, pq.dbText = req.Semantics, req.DB
+	if err := pq.parseQuery(kind, req.Literal, req.Formula); err != nil {
+		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: err.Error()})
+		return pq, false
 	}
 	pq.eff = clamp(req.Limits.ToLimits(), s.cfg.Ceilings)
-	return pq, 0, nil
+	return pq, true
 }
 
 // queryHandler builds the handler for one query kind. The request
-// path is: drain check → decode/validate → verdict memo → planner →
-// breaker → admission → execute (with bounded transient retries) →
-// typed response.
+// path is: decode (drain check, body, database, query text) → verdict
+// memo → planner → breaker → admission → execute (with bounded
+// transient retries) → typed response.
 func (s *Server) queryHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.stats.shedDraining.Add(1)
-			writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-			return
-		}
-		pq, status, errResp := s.decodeQuery(kind, r)
-		if errResp != nil {
-			s.stats.badRequest.Add(1)
-			writeJSON(w, status, *errResp)
+		pq, ok := s.decodeQuery(w, kind, r)
+		if !ok {
 			return
 		}
 
@@ -688,29 +831,7 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 			return
 		}
 
-		// Register with the drain WaitGroup before admission so Drain's
-		// Wait covers the whole admit+execute span (queued requests are
-		// released promptly via drainCtx).
-		if !s.register() {
-			if probe {
-				br.cancelProbe()
-			}
-			s.stats.shedDraining.Add(1)
-			writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-			return
-		}
-		defer s.wg.Done()
-
-		// The queue wait is bounded by the request's effective deadline
-		// (measured from arrival); the solve budget restarts after
-		// admission.
-		admCtx := r.Context()
-		if pq.eff.Deadline > 0 {
-			var cancel context.CancelFunc
-			admCtx, cancel = context.WithTimeout(admCtx, pq.eff.Deadline)
-			defer cancel()
-		}
-		res := s.adm.admit(s.drainCtx, admCtx)
+		res := s.enter(w, r, pq.eff.Deadline)
 		if res.shed != "" {
 			// The breaker saw neither success nor failure: record
 			// nothing, but return a claimed probe slot so the breaker
@@ -718,28 +839,9 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 			if probe {
 				br.cancelProbe()
 			}
-			switch res.shed {
-			case ShedQueueFull:
-				s.stats.shedQueueFull.Add(1)
-				writeShed(w, http.StatusTooManyRequests, ErrorResponse{Error: ShedQueueFull, RetryAfterMS: 50})
-			case ShedQueueWait:
-				s.stats.shedQueueWait.Add(1)
-				writeShed(w, http.StatusTooManyRequests, ErrorResponse{Error: ShedQueueWait, RetryAfterMS: 50})
-			case ShedClientGone:
-				s.stats.shedClientGone.Add(1)
-				writeShed(w, statusClientClosedRequest, ErrorResponse{Error: ShedClientGone})
-			default:
-				s.stats.shedDraining.Add(1)
-				writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-			}
 			return
 		}
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
-		defer res.release()
-		if s.testHook != nil {
-			s.testHook()
-		}
+		defer s.leave(res)
 
 		// Coalesce identical concurrent requests: the first arrival
 		// leads and solves; followers reuse its response when it is a
@@ -797,16 +899,7 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 			s.flights.finish(flKey, fl, resp, semErr == nil && !resp.Incomplete)
 		}
 		if semErr != nil {
-			// A semantic outcome, not a service failure: the database
-			// is outside the class this semantics is defined for.
-			s.stats.badRequest.Add(1)
-			reason := ReasonUnsupported
-			if errors.Is(semErr, core.ErrNotStratifiable) {
-				reason = ReasonNotStratifiable
-			}
-			writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{
-				Error: reason, Semantics: pq.semName, Detail: semErr.Error(),
-			})
+			s.reject(w, http.StatusUnprocessableEntity, semanticError(pq.semName, semErr))
 			br.record(false)
 			return
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -9,11 +8,9 @@ import (
 	"time"
 
 	"disjunct/internal/budget"
-	"disjunct/internal/db"
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
-	"disjunct/internal/session"
 )
 
 // handleStream serves POST /v1/models/stream: NDJSON enumeration of a
@@ -30,16 +27,8 @@ import (
 // baseCtx: an unbounded enumeration must stop when drain BEGINS, or
 // Drain would block on it for the full timeout.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.stats.shedDraining.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-		return
-	}
 	var req StreamRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "body: " + err.Error()})
+	if !s.readBody(w, r, 1<<20, &req) {
 		return
 	}
 	kind := req.Kind
@@ -47,33 +36,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		kind = "models"
 	}
 	if kind != "models" && kind != "minimal" {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "kind: " + req.Kind})
+		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "kind: " + req.Kind})
 		return
 	}
-	var comp *session.Compiled
-	var d *db.DB
-	if s.sessions != nil {
-		if c, ok := s.sessions.Lookup(req.DB); ok {
-			comp, d = c, c.D
-		}
-	}
-	if d == nil {
-		parsed, err := db.Parse(req.DB)
-		if err != nil {
-			s.stats.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "db: " + err.Error()})
-			return
-		}
-		d = parsed
-		if s.sessions != nil {
-			comp = s.sessions.Intern(req.DB, d)
-			d = comp.D
-		}
-	}
-	if d.N() == 0 {
-		s.stats.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "db: empty vocabulary"})
+	comp, d, ok := s.loadDB(w, req.DB)
+	if !ok {
 		return
 	}
 	eff := clamp(req.Limits.ToLimits(), s.cfg.Ceilings)
@@ -82,53 +49,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		limit = s.cfg.StreamMaxModels
 	}
 
-	if !s.register() {
-		s.stats.shedDraining.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-		return
-	}
-	defer s.wg.Done()
-	admCtx := r.Context()
-	if eff.Deadline > 0 {
-		var cancel context.CancelFunc
-		admCtx, cancel = context.WithTimeout(admCtx, eff.Deadline)
-		defer cancel()
-	}
-	res := s.adm.admit(s.drainCtx, admCtx)
+	res := s.enter(w, r, eff.Deadline)
 	if res.shed != "" {
-		switch res.shed {
-		case ShedQueueFull:
-			s.stats.shedQueueFull.Add(1)
-			writeShed(w, http.StatusTooManyRequests, ErrorResponse{Error: ShedQueueFull, RetryAfterMS: 50})
-		case ShedQueueWait:
-			s.stats.shedQueueWait.Add(1)
-			writeShed(w, http.StatusTooManyRequests, ErrorResponse{Error: ShedQueueWait, RetryAfterMS: 50})
-		case ShedClientGone:
-			s.stats.shedClientGone.Add(1)
-			writeShed(w, statusClientClosedRequest, ErrorResponse{Error: ShedClientGone})
-		default:
-			s.stats.shedDraining.Add(1)
-			writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
-		}
 		return
 	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	defer res.release()
-	if s.testHook != nil {
-		s.testHook()
-	}
+	defer s.leave(res)
 	s.stats.streams.Add(1)
 
 	// The stream context: client connection + drain-begin (NOT the
 	// drain deadline — see the handler comment).
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	stop := context.AfterFunc(s.drainCtx, func() { cancel(context.Cause(s.drainCtx)) })
-	defer stop()
-	if s.drainCtx.Err() != nil {
-		cancel(context.Cause(s.drainCtx))
-	}
+	ctx, l := linkCtx(r.Context(), s.drainCtx)
+	defer l.unlink()
 
 	b := budget.New(ctx, eff)
 	o := oracle.NewNP().WithBudget(b)

@@ -55,14 +55,36 @@ func TestHandoffImportLegacyEnvelope(t *testing.T) {
 	}
 }
 
+// jsonRoundTrip sends h through encoding/json, as a handoff travels.
+func jsonRoundTrip(t testing.TB, h session.Handoff) session.Handoff {
+	t.Helper()
+	data, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back session.Handoff
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
 // FuzzHandoffImport decodes arbitrary bytes as a handoff envelope and
 // imports it into a fresh manager. Import must never panic, never
 // accept more artifacts or verdicts than the envelope holds, and every
-// artifact it caches must equal a fresh compile of its text.
+// artifact it caches must equal a fresh compile of its text. What the
+// manager then exports must survive a JSON round trip: a second fresh
+// manager accepts every artifact of it. The seed source holds a
+// 70-atom ring, whose fingerprint carries bytes ≥ 0x80, and its own
+// export round trip must import every artifact and verdict.
 func FuzzHandoffImport(f *testing.F) {
 	src := session.NewManager(session.Config{})
-	warmQueries(f, src, []string{"a | b. b | c.", "p :- not q. q :- not p."})
+	warmQueries(f, src, []string{"a | b. b | c.", "p :- not q. q :- not p.", ringText(70)})
 	h := src.Export()
+	arts, verds := session.NewManager(session.Config{}).Import(jsonRoundTrip(f, h))
+	if arts != len(h.Artifacts) || verds != len(h.Verdicts) {
+		f.Fatalf("export round trip imported %d/%d artifacts and %d/%d verdicts", arts, len(h.Artifacts), verds, len(h.Verdicts))
+	}
 	cur, err := json.Marshal(h)
 	if err != nil {
 		f.Fatal(err)
@@ -101,6 +123,10 @@ func FuzzHandoffImport(f *testing.F) {
 		}
 		if cached > arts {
 			t.Fatalf("%d artifacts cached, Import reported %d", cached, arts)
+		}
+		re := m.Export()
+		if got, _ := session.NewManager(session.Config{}).Import(jsonRoundTrip(t, re)); got != len(re.Artifacts) {
+			t.Fatalf("re-export round trip imported %d of %d artifacts", got, len(re.Artifacts))
 		}
 	})
 }

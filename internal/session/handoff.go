@@ -1,6 +1,8 @@
 package session
 
 import (
+	"encoding/json"
+
 	"disjunct/internal/db"
 	"disjunct/internal/store"
 )
@@ -47,6 +49,88 @@ type HandoffEstimate struct {
 	SumNP     int64  `json:"sum_np"`
 	SumConfl  int64  `json:"sum_confl"`
 	SumMicros int64  `json:"sum_micros"`
+}
+
+// A RawKey is binary: from 64 atoms on, its varints carry bytes
+// ≥ 0x80, and encoding/json writes a Go string as UTF-8, replacing each
+// invalid byte with U+FFFD. So every record carries its key twice on
+// the wire: "raw_b64", exact and preferred on read, and "raw" as
+// before, for readers that predate raw_b64 (exact for small databases).
+type rawWire struct {
+	Raw64 []byte `json:"raw_b64,omitempty"`
+}
+
+// restore overrides raw with the exact key when the record carried one.
+func (w rawWire) restore(raw *string) {
+	if w.Raw64 != nil {
+		*raw = string(w.Raw64)
+	}
+}
+
+func (a HandoffArtifact) MarshalJSON() ([]byte, error) {
+	type plain HandoffArtifact
+	return json.Marshal(struct {
+		plain
+		rawWire
+	}{plain(a), rawWire{[]byte(a.Raw)}})
+}
+
+func (a *HandoffArtifact) UnmarshalJSON(b []byte) error {
+	type plain HandoffArtifact
+	var w struct {
+		plain
+		rawWire
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*a = HandoffArtifact(w.plain)
+	w.restore(&a.Raw)
+	return nil
+}
+
+func (v HandoffVerdict) MarshalJSON() ([]byte, error) {
+	type plain HandoffVerdict
+	return json.Marshal(struct {
+		plain
+		rawWire
+	}{plain(v), rawWire{[]byte(v.Raw)}})
+}
+
+func (v *HandoffVerdict) UnmarshalJSON(b []byte) error {
+	type plain HandoffVerdict
+	var w struct {
+		plain
+		rawWire
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*v = HandoffVerdict(w.plain)
+	w.restore(&v.Raw)
+	return nil
+}
+
+func (e HandoffEstimate) MarshalJSON() ([]byte, error) {
+	type plain HandoffEstimate
+	return json.Marshal(struct {
+		plain
+		rawWire
+	}{plain(e), rawWire{[]byte(e.Raw)}})
+}
+
+func (e *HandoffEstimate) UnmarshalJSON(b []byte) error {
+	type plain HandoffEstimate
+	var w struct {
+		plain
+		rawWire
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*e = HandoffEstimate(w.plain)
+	w.restore(&e.Raw)
+	return nil
 }
 
 // Handoff is a worker's exportable warm state.

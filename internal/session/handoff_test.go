@@ -2,6 +2,10 @@ package session_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"disjunct/internal/db"
@@ -161,5 +165,56 @@ func TestHandoffImportRejectsStaleArtifacts(t *testing.T) {
 	}}}
 	if arts, _ := dst.Import(h2); arts != 0 {
 		t.Fatalf("unparseable artifact accepted: %d", arts)
+	}
+}
+
+// ringText is the n-atom ring "a0 | a1. a1 | a2. … a(n-1) | a0.".
+func ringText(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "a%d | a%d. ", i, (i+1)%n)
+	}
+	return b.String()
+}
+
+// TestHandoffJSONKeepsRawBytes: a RawKey is binary, and from 64 atoms
+// on its varints carry bytes ≥ 0x80, which a plain JSON string field
+// replaces with U+FFFD. After a JSON round trip every artifact, verdict
+// and estimate keeps its exact key, and a fresh manager accepts every
+// artifact and verdict. A reader that knows only "raw" still gets the
+// exact key of a small database.
+func TestHandoffJSONKeepsRawBytes(t *testing.T) {
+	small := "a | b. b | c."
+	texts := []string{ringText(70), small}
+	src := session.NewManager(session.Config{})
+	warmQueries(t, src, texts)
+	h := src.Export()
+	for _, a := range h.Artifacts {
+		h.Estimates = append(h.Estimates, session.HandoffEstimate{Raw: a.Raw, Sem: "GCWA", Count: 1, SumNP: 3})
+	}
+	data, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got session.Handoff
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, h) {
+		t.Fatal("the JSON round trip changed the envelope")
+	}
+	arts, verds := session.NewManager(session.Config{}).Import(got)
+	if arts != len(texts) || verds != len(h.Verdicts) {
+		t.Fatalf("imported %d/%d artifacts and %d/%d verdicts", arts, len(texts), verds, len(h.Verdicts))
+	}
+
+	var old legacyEnvelope
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range old.Artifacts {
+		if a.Text == small && a.Raw != h.Artifacts[i].Raw {
+			t.Fatalf("the plain raw member of %q lost its key", small)
+		}
 	}
 }

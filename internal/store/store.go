@@ -94,8 +94,8 @@ type Verdict struct {
 // Estimate is one persisted cost-model entry of the query planner: the
 // commutative observation sums for a (database fingerprint, semantics)
 // pair. Sums — not averages — are stored so merges from cluster
-// handoff slices are order-independent; the planner derives the
-// moving-average estimate as sum/count.
+// handoff slices are order-independent; the planner derives the mean
+// estimate as sum/count.
 type Estimate struct {
 	Raw       string // exact CNF fingerprint (the session/routing key)
 	Sem       string // semantics name
