@@ -159,13 +159,8 @@ func plannerFresh(d *db.DB, semName string, q plannerQuery) (bool, oracle.Counte
 // exactly as the server observes them.
 func plannerRoute(ctx context.Context, planner *plan.Planner, mgr *session.Manager, comp *session.Compiled, d *db.DB, semName string, q plannerQuery) (holds bool, np int64, path string, err error) {
 	dec := planner.Decide(comp, semName, q.kind)
-	start := time.Now()
 	observe := func(c oracle.Counters) {
-		planner.Observe(comp.Raw, semName, plan.Cost{
-			NPCalls:  c.NPCalls,
-			SATConfl: c.SATConfl,
-			Micros:   time.Since(start).Microseconds(),
-		})
+		planner.Observe(comp.Raw, semName, plan.Cost{NPCalls: c.NPCalls})
 	}
 
 	if res, handled := mgr.Query(ctx, comp, session.Request{

@@ -1,15 +1,15 @@
 // Package plan is the cost-based query planner: it classifies each
 // incoming query into a cost class before admission — from the
 // semantics' complexity cells (core.Info.Cells), the session layer's
-// fragment classifier, and compiled-DB size features — maintains a
-// per-(fingerprint, semantics) cost model of commutative sums (count,
-// and totals of NP calls, conflicts and microseconds; the means derive
-// on read) calibrated online from the counters every completed query
-// produces, and picks the cheapest correct procedure: the
-// fixpoint fast path, a warm session, the fresh parallel enumeration,
-// or brute-force refsem construction for tiny instances the cost model
-// has read as expensive. Exactly one procedure answers each query.
-// Estimates feed the serve layer's admission control so overload sheds
+// fragment classifier, and compiled-DB size features — maintains an
+// in-process per-(fingerprint, semantics) estimate of mean NP calls
+// (a count and a sum, calibrated online from the counters every
+// completed query produces; nothing persists it or ships it to another
+// node), and picks the cheapest correct procedure: the fixpoint fast
+// path, a warm session, the fresh parallel enumeration, or brute-force
+// refsem construction for tiny instances the estimate has read as
+// expensive. Exactly one procedure answers each query. Class and
+// estimate feed the serve layer's admission control so overload sheds
 // expensive (Σ₂ᵖ-class, cold, high-estimate) queries first instead of
 // FIFO.
 package plan
@@ -19,7 +19,6 @@ import (
 
 	"disjunct/internal/core"
 	"disjunct/internal/session"
-	"disjunct/internal/store"
 )
 
 // Class is the planner's cost tier for one (query kind, semantics,
@@ -89,7 +88,6 @@ type Decision struct {
 	Proc    Proc
 	HaveEst bool  // a calibrated estimate existed for (fingerprint, semantics)
 	EstNP   int64 // mean NP calls per query, when HaveEst
-	EstUS   int64 // mean wall-clock microseconds per query, when HaveEst
 }
 
 // Config tunes the planner. Zero values pick the defaults.
@@ -107,10 +105,6 @@ type Config struct {
 	// cost-aware shedding engages; below it the planner never sheds.
 	// Default 0.5.
 	ShedOccupancy float64
-	// Store, when set, seeds the estimator at construction and
-	// receives a write-behind snapshot after every observation so
-	// estimates survive restarts.
-	Store *store.Store
 }
 
 func (c Config) withDefaults() Config {
@@ -143,15 +137,9 @@ type Planner struct {
 	shedCost    atomic.Int64
 }
 
-// New builds a planner, seeding its estimator from cfg.Store when one
-// is configured.
+// New builds a planner with an empty estimator.
 func New(cfg Config) *Planner {
-	cfg = cfg.withDefaults()
-	p := &Planner{cfg: cfg, est: newEstimator(cfg.Store)}
-	if cfg.Store != nil {
-		p.est.seed(cfg.Store.Estimates())
-	}
-	return p
+	return &Planner{cfg: cfg.withDefaults(), est: newEstimator()}
 }
 
 // ClassOf maps a query onto its cost tier: the fragment fast path
@@ -191,7 +179,7 @@ func (p *Planner) Decide(comp *session.Compiled, sem string, kind session.Kind) 
 	p.decisions.Add(1)
 	d := Decision{Class: ClassOf(comp, sem, kind)}
 	if e, ok := p.est.estimate(comp.Raw, sem); ok {
-		d.HaveEst, d.EstNP, d.EstUS = true, e.meanNP(), e.meanUS()
+		d.HaveEst, d.EstNP = true, e.meanNP()
 		p.estServed.Add(1)
 	}
 	switch {
@@ -261,17 +249,9 @@ func (p *Planner) CountShed() { p.shedCost.Add(1) }
 // instance bound for the execution layer's eligibility re-checks.
 func (p *Planner) BruteMaxAtoms() int { return p.cfg.BruteMaxAtoms }
 
-// Observe folds one completed query's measured cost into the moving
-// average for its (fingerprint, semantics) key and write-behinds the
-// snapshot to the store when one is configured.
+// Observe folds one completed query's measured cost into the mean for
+// its (fingerprint, semantics) key.
 func (p *Planner) Observe(raw, sem string, c Cost) { p.est.observe(raw, sem, c) }
-
-// Export snapshots the estimator for handoff/join slices.
-func (p *Planner) Export() []store.Estimate { return p.est.export() }
-
-// Import merges shipped estimates (max-observation-count wins, so
-// repeated imports are idempotent) and returns how many were accepted.
-func (p *Planner) Import(list []store.Estimate) int { return p.est.merge(list) }
 
 // Stats is the /healthz planner section.
 func (p *Planner) Stats() map[string]int64 {

@@ -8,7 +8,6 @@ import (
 
 	"disjunct/internal/db"
 	"disjunct/internal/session"
-	"disjunct/internal/store"
 
 	_ "disjunct/internal/semantics/all"
 )
@@ -98,7 +97,7 @@ func TestDecideLadder(t *testing.T) {
 	if d.Proc != ProcFresh || d.HaveEst {
 		t.Fatalf("cold tiny DSM literal routed %v (haveEst=%v), want fresh cold", d.Proc, d.HaveEst)
 	}
-	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 2, Micros: 10})
+	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 2})
 	if d := p.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcFresh || !d.HaveEst || d.EstNP != 2 {
 		t.Errorf("cheap-estimate DSM routed %v (est %d), want fresh", d.Proc, d.EstNP)
 	}
@@ -198,17 +197,15 @@ func TestEstimatorDeterminism(t *testing.T) {
 	}
 	var all []obs
 	for i := 0; i < 800; i++ {
-		all = append(all, obs{keys[i%len(keys)], Cost{
-			NPCalls: int64(i % 17), SATConfl: int64(i % 5), Micros: int64(i),
-		}})
+		all = append(all, obs{keys[i%len(keys)], Cost{NPCalls: int64(i % 17)}})
 	}
 
-	seq := newEstimator(nil)
+	seq := newEstimator()
 	for _, o := range all {
 		seq.observe(o.key, "DSM", o.c)
 	}
 
-	conc := newEstimator(nil)
+	conc := newEstimator()
 	var wg sync.WaitGroup
 	const workers = 8
 	for w := 0; w < workers; w++ {
@@ -234,85 +231,13 @@ func TestEstimatorDeterminism(t *testing.T) {
 	}
 }
 
-// TestMergeSemilattice pins the handoff-import rule: max-by-count is
-// idempotent (re-importing a slice accepts nothing), monotone (a
-// smaller count never clobbers a larger one), and a seed followed by
-// an import of the same snapshot cannot double-count.
-func TestMergeSemilattice(t *testing.T) {
-	src := newEstimator(nil)
-	src.observe("db1", "DSM", Cost{NPCalls: 4, Micros: 100})
-	src.observe("db1", "DSM", Cost{NPCalls: 6, Micros: 200})
-	src.observe("db2", "GCWA", Cost{NPCalls: 1, Micros: 10})
-	snap := src.export()
-
-	dst := newEstimator(nil)
-	if got := dst.merge(snap); got != 2 {
-		t.Fatalf("first import accepted %d entries, want 2", got)
-	}
-	if got := dst.merge(snap); got != 0 {
-		t.Errorf("re-import accepted %d entries, want 0 (idempotence)", got)
-	}
-	for _, s := range snap {
-		want, _ := src.estimate(s.Raw, s.Sem)
-		got, ok := dst.estimate(s.Raw, s.Sem)
-		if !ok || want != got {
-			t.Errorf("%s/%s: imported %+v, want %+v", s.Raw, s.Sem, got, want)
-		}
-	}
-
-	// A stale slice (smaller count) must not clobber newer sums.
-	dst.observe("db1", "DSM", Cost{NPCalls: 100})
-	before, _ := dst.estimate("db1", "DSM")
-	if got := dst.merge(snap); got != 0 {
-		t.Errorf("stale import accepted %d entries, want 0 (monotonicity)", got)
-	}
-	if after, _ := dst.estimate("db1", "DSM"); after != before {
-		t.Errorf("stale import moved the estimate: %+v -> %+v", before, after)
-	}
-}
-
-// TestEstimatePersistence proves the write-behind/seed loop: estimates
-// observed against a store survive a close/reopen into a fresh
-// planner, and re-seeding plus re-importing the same snapshot is a
-// no-op (the restart path cannot double-count).
-func TestEstimatePersistence(t *testing.T) {
-	dir := t.TempDir()
-	st, _, err := store.Open(store.Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	p := New(Config{Store: st})
-	p.Observe("dbX", "DSM", Cost{NPCalls: 9, SATConfl: 3, Micros: 500})
-	p.Observe("dbX", "DSM", Cost{NPCalls: 11, SATConfl: 5, Micros: 700})
-	if err := st.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	st2, _, err := store.Open(store.Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer st2.Close()
-	p2 := New(Config{Store: st2})
-	e, ok := p2.est.estimate("dbX", "DSM")
-	if !ok {
-		t.Fatal("estimate did not survive the restart")
-	}
-	if e.count != 2 || e.sumNP != 20 || e.sumConfl != 8 || e.sumMicros != 1200 {
-		t.Errorf("recovered estimate %+v, want count=2 sumNP=20 sumConfl=8 sumMicros=1200", e)
-	}
-	if got := p2.Import(p2.Export()); got != 0 {
-		t.Errorf("self re-import accepted %d entries, want 0", got)
-	}
-}
-
 // TestEstimatorRotationKeepsTouchedKeys pins the two-generation bound:
 // a key touched after a rotation moves back into the current
 // generation and survives the next rotation, an untouched key of the
 // dropped generation is forgotten, and the estimator never holds more
 // than two generations of keys.
 func TestEstimatorRotationKeepsTouchedKeys(t *testing.T) {
-	e := newEstimator(nil)
+	e := newEstimator()
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
 	for i := 0; i < estimatorGen+1; i++ { // the last one rotates
 		e.observe(key(i), "DSM", Cost{NPCalls: int64(i)})
@@ -334,58 +259,24 @@ func TestEstimatorRotationKeepsTouchedKeys(t *testing.T) {
 	}
 }
 
-// TestMergeIdempotentAcrossGenerations: re-importing a snapshot whose
-// keys span both generations accepts nothing, and a fresh estimator
-// importing it twice accepts every entry once and ends holding exactly
-// the snapshot.
-func TestMergeIdempotentAcrossGenerations(t *testing.T) {
-	src := newEstimator(nil)
-	for i := 0; i < estimatorGen+50; i++ {
-		src.observe(fmt.Sprintf("k%d", i), "GCWA", Cost{NPCalls: int64(i), Micros: 1})
-	}
-	if len(src.old) == 0 || len(src.cur) == 0 {
-		t.Fatalf("setup: generations hold %d and %d keys, want both non-empty", len(src.old), len(src.cur))
-	}
-	snap := src.export()
-	if got := src.merge(snap); got != 0 {
-		t.Errorf("self re-import accepted %d entries, want 0", got)
-	}
-	dst := newEstimator(nil)
-	if got := dst.merge(snap); got != len(snap) {
-		t.Fatalf("first import accepted %d entries, want %d", got, len(snap))
-	}
-	if got := dst.merge(snap); got != 0 {
-		t.Errorf("re-import accepted %d entries, want 0", got)
-	}
-	// Compare exports: reading through estimate would promote keys
-	// and rotate the generations under the loop.
-	want := map[store.Estimate]bool{}
-	for _, s := range snap {
-		want[s] = true
-	}
-	got := dst.export()
-	for _, s := range got {
-		if !want[s] {
-			t.Fatalf("imported %+v, not in the snapshot", s)
-		}
-	}
-	if len(got) != len(snap) {
-		t.Errorf("import holds %d entries, snapshot %d", len(got), len(snap))
-	}
-}
-
-// TestEstimateEntriesMatchesExport: the /healthz entry count is the
-// number of exported estimates, across rotations, and stays bounded.
+// TestEstimateEntriesMatchesExport: the /healthz entry count matches
+// the keys the two generations hold after k distinct observations — k
+// up to one full generation, then one full old generation plus the
+// current one's ((k-1) mod estimatorGen)+1 — and stays bounded across
+// rotations.
 func TestEstimateEntriesMatchesExport(t *testing.T) {
 	p := New(Config{})
 	for i := 0; i < 2*estimatorGen+100; i++ {
 		p.Observe(fmt.Sprintf("db%d", i), "PWS", Cost{NPCalls: 1})
-		if i%4096 != 4095 {
-			continue
-		}
-		entries, exported := p.Stats()["estimate_entries"], len(p.Export())
-		if entries != int64(exported) || entries > 2*estimatorGen {
-			t.Fatalf("after %d keys: estimate_entries %d, len(Export()) %d, bound %d", i+1, entries, exported, 2*estimatorGen)
+		if k := i + 1; k%4096 == 0 || k == 2*estimatorGen+100 {
+			want := int64((k-1)%estimatorGen + 1)
+			if k > estimatorGen {
+				want += estimatorGen
+			}
+			entries := p.Stats()["estimate_entries"]
+			if entries != want || entries > 2*estimatorGen {
+				t.Fatalf("after %d keys: estimate_entries %d, want %d, bound %d", k, entries, want, 2*estimatorGen)
+			}
 		}
 	}
 }

@@ -35,11 +35,11 @@ func newAdmission(maxConcurrent, queueDepth int) *admission {
 	}
 }
 
-// admitResult is the typed outcome of trying to enter the server.
+// admitResult is the typed outcome of trying to enter the server. An
+// admitted request (shed == "") holds both slots until release.
 type admitResult struct {
-	release func()        // non-nil iff admitted; returns both slots
-	shed    string        // one of the Shed* reasons, "" when admitted
-	waited  time.Duration // time spent queued
+	shed   string        // one of the Shed* reasons, "" when admitted
+	waited time.Duration // time spent queued
 }
 
 // admit tries to claim a queue slot and then an execution slot.
@@ -61,13 +61,7 @@ func (a *admission) admit(drainCtx, reqCtx context.Context) admitResult {
 	defer a.waiting.Add(-1)
 	select {
 	case a.exec <- struct{}{}:
-		return admitResult{
-			waited: time.Since(start),
-			release: func() {
-				<-a.exec
-				a.queued.Add(-1)
-			},
-		}
+		return admitResult{waited: time.Since(start)}
 	case <-drainCtx.Done():
 		a.queued.Add(-1)
 		return admitResult{shed: ShedDraining, waited: time.Since(start)}
@@ -81,6 +75,12 @@ func (a *admission) admit(drainCtx, reqCtx context.Context) admitResult {
 		}
 		return admitResult{shed: shed, waited: time.Since(start)}
 	}
+}
+
+// release returns an admitted request's execution and queue slots.
+func (a *admission) release() {
+	<-a.exec
+	a.queued.Add(-1)
 }
 
 // depth reports (queued, waiting, executing) for health reporting.

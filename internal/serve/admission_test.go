@@ -24,8 +24,8 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		second = a.admit(drainCtx, context.Background())
-		if second.release != nil {
-			second.release()
+		if second.shed == "" {
+			a.release()
 		}
 	}()
 	waitFor(t, func() bool { q, _, _ := a.depth(); return q == 2 })
@@ -38,7 +38,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 		}
 	}
 
-	first.release()
+	a.release()
 	wg.Wait()
 	if second.shed != "" {
 		t.Fatalf("queued request shed after slot freed: %s", second.shed)
@@ -76,7 +76,7 @@ func TestAdmissionDrainReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter not released by drain")
 	}
-	first.release()
+	a.release()
 }
 
 func TestAdmissionQueueWaitDeadline(t *testing.T) {
@@ -91,7 +91,7 @@ func TestAdmissionQueueWaitDeadline(t *testing.T) {
 	if res.shed != ShedQueueWait {
 		t.Fatalf("shed=%q, want %q", res.shed, ShedQueueWait)
 	}
-	first.release()
+	a.release()
 	if q, _, _ := a.depth(); q != 0 {
 		t.Fatalf("queued=%d after timeout + release, want 0", q)
 	}
@@ -119,7 +119,7 @@ func TestAdmissionClientGone(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter not released by client cancel")
 	}
-	first.release()
+	a.release()
 	if q, _, _ := a.depth(); q != 0 {
 		t.Fatalf("queued=%d after cancel + release, want 0", q)
 	}

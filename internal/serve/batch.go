@@ -100,7 +100,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if res.shed != "" {
 		return
 	}
-	defer s.leave(res)
+	defer s.leave()
 	s.stats.batchRequests.Add(1)
 	s.stats.batchQueries.Add(int64(len(req.Queries)))
 

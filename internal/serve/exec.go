@@ -151,11 +151,7 @@ func (s *Server) observeCost(pq parsedQuery, resp QueryResponse) {
 	if s.planner == nil || pq.comp == nil {
 		return
 	}
-	s.planner.Observe(pq.comp.Raw, pq.semName, plan.Cost{
-		NPCalls:  resp.Counters.NPCalls,
-		SATConfl: resp.Counters.SATConfl,
-		Micros:   int64(resp.SolveMS * 1000),
-	})
+	s.planner.Observe(pq.comp.Raw, pq.semName, plan.Cost{NPCalls: resp.Counters.NPCalls})
 }
 
 // executeSession offers one query to the session layer's fast path

@@ -8,15 +8,20 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"disjunct/internal/session"
 )
 
-// frontDoorRoutes are the five endpoints that claim an admission slot,
-// each with its body cap and a valid body over a given database text.
-var frontDoorRoutes = []struct {
+// frontDoorRoute is an endpoint with its body cap and a valid body over
+// a given database text.
+type frontDoorRoute struct {
 	path  string
 	limit int
 	body  func(dbText string) any
-}{
+}
+
+// frontDoorRoutes are the five endpoints that claim an admission slot.
+var frontDoorRoutes = []frontDoorRoute{
 	{"/v1/infer/literal", 1 << 20, func(d string) any { return QueryRequest{Semantics: "GCWA", DB: d, Literal: "-a"} }},
 	{"/v1/infer/formula", 1 << 20, func(d string) any { return QueryRequest{Semantics: "GCWA", DB: d, Formula: "a | b"} }},
 	{"/v1/model", 1 << 20, func(d string) any { return QueryRequest{Semantics: "GCWA", DB: d} }},
@@ -160,39 +165,53 @@ func TestFrontDoorAcrossRoutes(t *testing.T) {
 			want: badRequest,
 		},
 	}
+	drive := func(t *testing.T, cfg Config, rt frontDoorRoute, tc int) {
+		want := cases[tc].want
+		srv := New(cfg)
+		before := frontDoorStats(t, srv)
+		rec := cases[tc].run(t, srv, rt.path, rt.body, rt.limit)
+		after := frontDoorStats(t, srv)
+
+		if rec.Code != want.status {
+			t.Fatalf("status %d, want %d; body %s", rec.Code, want.status, rec.Body.Bytes())
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error != want.reason {
+			t.Fatalf("body %s, want reason %q", rec.Body.Bytes(), want.reason)
+		}
+		if got := rec.Header().Get("Retry-After") != ""; got != want.retryAfter {
+			t.Fatalf("Retry-After present = %v, want %v", got, want.retryAfter)
+		}
+		for name, v := range after {
+			n := before[name]
+			if name == want.counter {
+				n++
+			}
+			if v != n {
+				t.Fatalf("stat %s = %d, want %d", name, v, n)
+			}
+		}
+	}
+	plain := Config{MaxConcurrent: 1, QueueDepth: 1}
+	sessions := Config{MaxConcurrent: 1, QueueDepth: 1, Sessions: true}
 	for _, cfg := range []struct {
 		name string
 		cfg  Config
-	}{{"plain", Config{MaxConcurrent: 1, QueueDepth: 1}}, {"sessions", Config{MaxConcurrent: 1, QueueDepth: 1, Sessions: true}}} {
+	}{{"plain", plain}, {"sessions", sessions}} {
 		for _, rt := range frontDoorRoutes {
-			for _, tc := range cases {
-				t.Run(cfg.name+rt.path+"/"+tc.name, func(t *testing.T) {
-					srv := New(cfg.cfg)
-					before := frontDoorStats(t, srv)
-					rec := tc.run(t, srv, rt.path, rt.body, rt.limit)
-					after := frontDoorStats(t, srv)
-
-					if rec.Code != tc.want.status {
-						t.Fatalf("status %d, want %d; body %s", rec.Code, tc.want.status, rec.Body.Bytes())
-					}
-					var er ErrorResponse
-					if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error != tc.want.reason {
-						t.Fatalf("body %s, want reason %q", rec.Body.Bytes(), tc.want.reason)
-					}
-					if got := rec.Header().Get("Retry-After") != ""; got != tc.want.retryAfter {
-						t.Fatalf("Retry-After present = %v, want %v", got, tc.want.retryAfter)
-					}
-					for name, v := range after {
-						want := before[name]
-						if name == tc.want.counter {
-							want++
-						}
-						if v != want {
-							t.Fatalf("stat %s = %d, want %d", name, v, want)
-						}
-					}
-				})
+			for tc := range cases {
+				t.Run(cfg.name+rt.path+"/"+cases[tc].name, func(t *testing.T) { drive(t, cfg.cfg, rt, tc) })
 			}
+		}
+	}
+	// The handoff import reads its body through the same door: a
+	// draining server sheds it, and a malformed body is a counted 400.
+	// It claims no admission slot and names no database, so only those
+	// two cases apply; it needs the session layer.
+	handoffImport := frontDoorRoute{"/v1/handoff/import", 64 << 20, func(string) any { return session.Handoff{} }}
+	for tc := range cases {
+		if name := cases[tc].name; name == "draining" || name == "malformed_json" {
+			t.Run("sessions"+handoffImport.path+"/"+name, func(t *testing.T) { drive(t, sessions, handoffImport, tc) })
 		}
 	}
 }

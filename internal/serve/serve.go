@@ -294,7 +294,6 @@ func New(cfg Config) *Server {
 			BruteMaxAtoms: cfg.PlannerBruteAtoms,
 			ExpensiveNP:   cfg.PlannerExpensiveNP,
 			ShedOccupancy: cfg.PlannerShedOccupancy,
-			Store:         cfg.Store,
 		})
 	}
 	s.warmedCh = make(chan struct{})
@@ -664,7 +663,7 @@ func (s *Server) loadDB(w http.ResponseWriter, text string) (*session.Compiled, 
 // after admission). Every shed is answered typed: 429 + Retry-After for
 // a full queue or an expired wait, 499 for a client gone while queued,
 // 503 when draining. It returns the result with its shed reason, ""
-// once admitted; an admitted request must defer s.leave(res).
+// once admitted; an admitted request must defer s.leave().
 func (s *Server) enter(w http.ResponseWriter, r *http.Request, deadline time.Duration) admitResult {
 	if !s.register() {
 		s.stats.shedDraining.Add(1)
@@ -701,8 +700,8 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, deadline time.Dur
 
 // leave returns an admitted request's execution slot and its drain
 // registration.
-func (s *Server) leave(res admitResult) {
-	res.release()
+func (s *Server) leave() {
+	s.adm.release()
 	s.inFlight.Add(-1)
 	s.wg.Done()
 }
@@ -841,7 +840,7 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 			}
 			return
 		}
-		defer s.leave(res)
+		defer s.leave()
 
 		// Coalesce identical concurrent requests: the first arrival
 		// leads and solves; followers reuse its response when it is a

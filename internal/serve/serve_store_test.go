@@ -193,6 +193,34 @@ func TestServeHealthzStoreSection(t *testing.T) {
 	srv2.Drain(context.Background())
 }
 
+// TestServeStorePlannerAddsNoWrites: the planner's estimates stay in
+// the process, so a store-backed server queues the same records with
+// the planner on as with it off — one per artifact and one per solved
+// verdict — however often the workload repeats.
+func TestServeStorePlannerAddsNoWrites(t *testing.T) {
+	queued := map[bool]int64{}
+	for _, planner := range []bool{false, true} {
+		st, _, err := store.Open(store.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Store: st, Planner: planner})
+		waitReady(t, srv)
+		ts := httptest.NewServer(srv.Handler())
+		for i := 0; i < 3; i++ {
+			runStoreWorkload(t, ts)
+		}
+		queued[planner] = srv.health().Store["queued_writes"]
+		ts.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if queued[false] == 0 || queued[true] != queued[false] {
+		t.Fatalf("store queued %d writes with the planner on, %d with it off", queued[true], queued[false])
+	}
+}
+
 // TestLoadRecordReplay: a recorded run replays cleanly against itself,
 // a replay with a different workload shape is an untyped failure, and
 // a tampered verdict file surfaces as divergence.

@@ -53,7 +53,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if res.shed != "" {
 		return
 	}
-	defer s.leave(res)
+	defer s.leave()
 	s.stats.streams.Add(1)
 
 	// The stream context: client connection + drain-begin (NOT the

@@ -152,7 +152,7 @@ func Compile(text string, d *db.DB) *Compiled {
 // RawKey is the exact fingerprint of a CNF over nVars variables: the
 // variable count and the clause sequence verbatim (order, duplicates
 // and all), uvarint-framed. It keys the session's warm sessions and
-// verdict memos, the store's verdicts and estimates, the router's
+// verdict memos, the store's verdicts, the router's
 // consistent-hash ring and the keyspace arcs, so its bytes are part of
 // the persisted and on-the-wire format.
 func RawKey(nVars int, cnf logic.CNF) string {

@@ -179,8 +179,8 @@ func ringText(n int) string {
 
 // TestHandoffJSONKeepsRawBytes: a RawKey is binary, and from 64 atoms
 // on its varints carry bytes ≥ 0x80, which a plain JSON string field
-// replaces with U+FFFD. After a JSON round trip every artifact, verdict
-// and estimate keeps its exact key, and a fresh manager accepts every
+// replaces with U+FFFD. After a JSON round trip every artifact and
+// verdict keeps its exact key, and a fresh manager accepts every
 // artifact and verdict. A reader that knows only "raw" still gets the
 // exact key of a small database.
 func TestHandoffJSONKeepsRawBytes(t *testing.T) {
@@ -189,9 +189,6 @@ func TestHandoffJSONKeepsRawBytes(t *testing.T) {
 	src := session.NewManager(session.Config{})
 	warmQueries(t, src, texts)
 	h := src.Export()
-	for _, a := range h.Artifacts {
-		h.Estimates = append(h.Estimates, session.HandoffEstimate{Raw: a.Raw, Sem: "GCWA", Count: 1, SumNP: 3})
-	}
 	data, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)

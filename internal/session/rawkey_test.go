@@ -7,7 +7,7 @@ import (
 )
 
 // TestRawKeyGolden pins RawKey's bytes. The router's ring, the
-// keyspace arcs and every persisted verdict and estimate key hash this
+// keyspace arcs and every persisted verdict key hash this
 // string, so a change to one byte re-homes keys across a cluster and
 // orphans stored verdicts.
 func TestRawKeyGolden(t *testing.T) {

@@ -30,9 +30,11 @@ func FuzzStoreRecover(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A legacy intern record keeps the skip path in the corpus, and an
-	// artifact record with a non-empty legacy key the discard path.
+	// Legacy intern and cost records keep the skip path in the corpus,
+	// and an artifact record with a non-empty legacy key the discard
+	// path.
 	healthy = append(healthy, legacyInternRecord("CK1", true, "RAW1", []byte{1, 2, 3})...)
+	healthy = append(healthy, legacyCostRecord("R1", "GCWA", 3, 12, 40, 900)...)
 	healthy = append(healthy, keyedArtifactRecord("a | b.\n", "K1", 2)...)
 	f.Add(healthy)
 	f.Add(healthy[:len(healthy)/2])

@@ -98,29 +98,44 @@ func legacyInternRecord(key string, sat bool, raw string, model []byte) []byte {
 	return rawRecord(recLegacyIntern, p)
 }
 
+// legacyCostRecord hand-encodes a type-4 record exactly as stores
+// that still persisted the planner's cost estimates wrote it: the raw
+// fingerprint, the semantics, then the observation count and the sums
+// of NP calls, conflicts and microseconds as uvarints.
+func legacyCostRecord(raw, sem string, count, np, confl, micros uint64) []byte {
+	var e encoder
+	e.str(raw)
+	e.str(sem)
+	for _, v := range []uint64{count, np, confl, micros} {
+		e.b = binary.AppendUvarint(e.b, v)
+	}
+	return rawRecord(recLegacyCost, e.b)
+}
+
 // TestLegacyInternRecordsSkipped: a log written before the verdict
-// cache was removed interleaves type-3 intern records with the live
-// record types. Recovery must skip them without treating them as a
-// torn tail — every later record survives — and compaction must drop
-// them from the rewritten log.
+// cache and the persisted planner estimates were removed interleaves
+// type-3 intern and type-4 estimate records with the live record
+// types. Recovery must skip them without treating them as a torn tail
+// — every later record survives — and compaction must drop them from
+// the rewritten log.
 func TestLegacyInternRecordsSkipped(t *testing.T) {
-	var ver, est encoder
-	ver.str("R1")
-	ver.str("GCWA")
-	ver.str("literal|a")
-	ver.bool(true)
-	est.str("R1")
-	est.str("GCWA")
-	for _, v := range []uint64{3, 12, 40, 900} {
-		est.u64(v)
+	verdict := func(raw, sem, memoKey string) []byte {
+		var e encoder
+		e.str(raw)
+		e.str(sem)
+		e.str(memoKey)
+		e.bool(true)
+		return rawRecord(recVerdict, e.b)
 	}
 	log := []byte(magic)
 	log = append(log, legacyInternRecord("CK0", false, "RAW0", nil)...)
+	log = append(log, legacyCostRecord("R1", "GCWA", 3, 12, 40, 900)...)
 	log = append(log, keyedArtifactRecord("a | b.\n", "K1", 2)...)
 	log = append(log, legacyInternRecord("CK1", true, "RAW1", []byte{3, 1, 0, 2})...)
-	log = append(log, rawRecord(recVerdict, ver.b)...)
+	log = append(log, verdict("R1", "GCWA", "literal|a")...)
 	log = append(log, legacyInternRecord("CK2", false, "RAW2", nil)...)
-	log = append(log, rawRecord(recEstimate, est.b)...)
+	log = append(log, legacyCostRecord("R1", "GCWA", 4, 16, 41, 950)...)
+	log = append(log, verdict("R1", "GCWA", "literal|b")...)
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, logName)
@@ -132,22 +147,18 @@ func TestLegacyInternRecordsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.TornTail || rec.Dropped != 0 {
-		t.Fatalf("legacy intern records treated as a torn tail: %+v", rec)
+		t.Fatalf("legacy records treated as a torn tail: %+v", rec)
 	}
-	if rec.Artifacts != 1 || rec.Verdicts != 1 || rec.Estimates != 1 {
-		t.Fatalf("recovery counts = %+v, want 1 artifact, 1 verdict, 1 estimate", rec)
+	if rec.Artifacts != 1 || rec.Verdicts != 2 {
+		t.Fatalf("recovery counts = %+v, want 1 artifact, 2 verdicts", rec)
 	}
 	check := func(s *Store) {
 		t.Helper()
 		if a, ok := s.Artifact("a | b.\n"); !ok || a.Frag != 2 {
 			t.Fatalf("artifact = %+v ok=%v", a, ok)
 		}
-		if m := s.Verdicts("R1", "GCWA"); len(m) != 1 || !m["literal|a"] {
+		if m := s.Verdicts("R1", "GCWA"); len(m) != 2 || !m["literal|a"] || !m["literal|b"] {
 			t.Fatalf("verdicts = %v", m)
-		}
-		want := Estimate{Raw: "R1", Sem: "GCWA", Count: 3, SumNP: 12, SumConfl: 40, SumMicros: 900}
-		if e, ok := s.EstimateFor("R1", "GCWA"); !ok || e != want {
-			t.Fatalf("estimate = %+v ok=%v", e, ok)
 		}
 	}
 	check(s)
@@ -170,8 +181,8 @@ func TestLegacyInternRecordsSkipped(t *testing.T) {
 		if n <= 0 {
 			t.Fatalf("compacted log unreadable at offset %d", off)
 		}
-		if typ == recLegacyIntern {
-			t.Fatal("compaction kept a legacy intern record")
+		if typ == recLegacyIntern || typ == recLegacyCost {
+			t.Fatalf("compaction kept a legacy type-%d record", typ)
 		}
 		off += n
 	}

@@ -5,14 +5,15 @@
 # Three server lifetimes over one deterministic hot-DB workload:
 #   1. a storeless session server records the reference verdicts (each
 #      verified against a direct library call by ddbload -verify);
-#   2. a store-backed server is SIGKILLed in the middle of the same
-#      load — a crash with the append log possibly torn mid-record;
-#   3. a server restarted on the same -store directory must recover
-#      without errors, gate readiness on the prewarm, replay the
-#      identical workload with every jointly-completed verdict equal
-#      to the recorded storeless reference, hit the compiled-DB cache,
-#      flush the store on a clean SIGTERM drain — and leave no temp
-#      state behind.
+#   2. a store-backed server with the cost planner on is SIGKILLed in
+#      the middle of the same load — a crash with the append log
+#      possibly torn mid-record;
+#   3. a planner-on server restarted on the same -store directory must
+#      recover without errors, gate readiness on the prewarm, replay
+#      the identical workload with every jointly-completed verdict
+#      equal to the recorded storeless reference, hit the compiled-DB
+#      cache, flush the store on a clean SIGTERM drain — and leave no
+#      temp state behind.
 #
 # Each lifetime binds 127.0.0.1:0 and the bound port is parsed from
 # its log (smoke_lib.sh), so the three passes — and parallel CI jobs —
@@ -65,7 +66,7 @@ fi
 KLOG="$TMP/ddbserve-restart-kill.log"
 : >"$KLOG"
 "$SERVE" -addr 127.0.0.1:0 -maxconcurrent 4 -queue 64 \
-    -store "$STOREDIR" -draintimeout 10s >"$KLOG" 2>&1 &
+    -store "$STOREDIR" -planner -draintimeout 10s >"$KLOG" 2>&1 &
 SRV=$!
 URL=$(bound_url "$KLOG" "restart-smoke: victim")
 wait_ready "$URL" "restart-smoke: victim" "$KLOG" "$SRV"
@@ -84,7 +85,7 @@ SRV=""
 RLOG="$TMP/ddbserve-restart.log"
 : >"$RLOG"
 "$SERVE" -addr 127.0.0.1:0 -maxconcurrent 4 -queue 64 \
-    -store "$STOREDIR" -draintimeout 10s >"$RLOG" 2>&1 &
+    -store "$STOREDIR" -planner -draintimeout 10s >"$RLOG" 2>&1 &
 SRV=$!
 URL=$(bound_url "$RLOG" "restart-smoke: restart")
 wait_ready "$URL" "restart-smoke: restart" "$RLOG" "$SRV"
@@ -111,11 +112,13 @@ if echo "$HEALTH" | grep -q '"compiled_hits":0'; then
     echo "$HEALTH" >&2
     exit 1
 fi
-echo "$HEALTH" | grep -q '"store"' || {
-    echo "restart-smoke: /healthz missing store section:" >&2
-    echo "$HEALTH" >&2
-    exit 1
-}
+for section in store planner; do
+    echo "$HEALTH" | grep -q "\"$section\"" || {
+        echo "restart-smoke: /healthz missing $section section:" >&2
+        echo "$HEALTH" >&2
+        exit 1
+    }
+done
 
 kill -TERM "$SRV"
 STATUS=0
