@@ -85,6 +85,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s ./internal/semantics/pws
 	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s ./internal/semantics/pdsm
 	$(GO) test -fuzz=FuzzServeQuery -fuzztime=30s ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeQueryBody -fuzztime=30s ./internal/serve
+	$(GO) test -fuzz=FuzzParseRanges -fuzztime=30s ./internal/keyspace
 
 clean:
 	$(GO) clean ./...

@@ -208,7 +208,7 @@ func TestClusterBreakerRouting(t *testing.T) {
 		for j := 0; j < i; j++ {
 			text += fmt.Sprintf(" c%d.", j)
 		}
-		if r.ring.Owner(r.routeKey(text)) == fURL.URL {
+		if r.ring.Owner(r.routeKey([]byte(text))) == fURL.URL {
 			dbText, litText = text, "-a"
 			break
 		}

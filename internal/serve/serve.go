@@ -594,14 +594,22 @@ func (pq *parsedQuery) parseQuery(kind, literal, formula string) error {
 
 // readBody sheds the request with a typed 503 when the server is
 // draining, and otherwise decodes its JSON body, capped at limit
-// bytes, into v. false means it has answered.
+// bytes, into v: a *QueryRequest through the one-pass scanner, any
+// other body through encoding/json. false means it has answered.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if s.draining.Load() {
 		s.stats.shedDraining.Add(1)
 		writeShed(w, http.StatusServiceUnavailable, ErrorResponse{Error: ShedDraining})
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(v); err != nil {
+	body := http.MaxBytesReader(nil, r.Body, limit)
+	var err error
+	if req, ok := v.(*QueryRequest); ok {
+		err = readQueryRequest(body, req)
+	} else {
+		err = json.NewDecoder(body).Decode(v)
+	}
+	if err != nil {
 		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: "body: " + err.Error()})
 		return false
 	}
