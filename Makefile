@@ -76,17 +76,18 @@ churn-smoke:
 	sh scripts/churn_smoke.sh
 
 fuzz:
-	$(GO) test -fuzz=FuzzParseDB -fuzztime=30s .
-	$(GO) test -fuzz=FuzzParseFormula -fuzztime=30s .
-	$(GO) test -fuzz=FuzzParseProgram -fuzztime=30s .
-	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
-	$(GO) test -fuzz=FuzzHandoffImport -fuzztime=30s ./internal/session
-	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s ./internal/sat
-	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s ./internal/semantics/pws
-	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s ./internal/semantics/pdsm
-	$(GO) test -fuzz=FuzzServeQuery -fuzztime=30s ./internal/serve
-	$(GO) test -fuzz=FuzzDecodeQueryBody -fuzztime=30s ./internal/serve
-	$(GO) test -fuzz=FuzzParseRanges -fuzztime=30s ./internal/keyspace
+	$(GO) test -fuzz=FuzzParseDB -fuzztime=30s -fuzzminimizetime=1x .
+	$(GO) test -fuzz=FuzzParseFormula -fuzztime=30s -fuzzminimizetime=1x .
+	$(GO) test -fuzz=FuzzParseProgram -fuzztime=30s -fuzzminimizetime=1x .
+	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s -fuzzminimizetime=1x ./internal/store
+	$(GO) test -fuzz=FuzzHandoffImport -fuzztime=30s -fuzzminimizetime=1x ./internal/session
+	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s -fuzzminimizetime=1x ./internal/sat
+	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s -fuzzminimizetime=1x ./internal/semantics/pws
+	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s -fuzzminimizetime=1x ./internal/semantics/pdsm
+	$(GO) test -fuzz=FuzzServeQuery -fuzztime=30s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeQueryBody -fuzztime=30s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -fuzz=FuzzParseRanges -fuzztime=30s -fuzzminimizetime=1x ./internal/keyspace
+	$(GO) test -fuzz=FuzzMembershipMerge -fuzztime=30s -fuzzminimizetime=1x ./internal/cluster
 
 clean:
 	$(GO) clean ./...

@@ -44,7 +44,7 @@ func main() {
 		brkCooldown   = flag.Duration("breakercooldown", time.Second, "open-breaker cooldown before the half-open probe")
 		faultRate     = flag.Float64("faultrate", 0, "injected oracle fault probability (chaos mode)")
 		faultSeed     = flag.Int64("faultseed", 1, "fault injection seed")
-		sessions      = flag.Bool("sessions", false, "enable warm query sessions: compiled-DB cache, verdict memo, fragment fast paths, request coalescing")
+		sessions      = flag.Bool("sessions", false, "enable warm query sessions: compiled-DB cache, verdict memo, fragment fast paths, warm incremental solvers")
 		sessBytes     = flag.Int64("sessionbytes", 0, "compiled-DB cache byte budget (0 = 64 MiB default)")
 		sessMax       = flag.Int("sessionmax", 0, "max resident warm sessions, one per (database, semantics) pair (0 = default 64)")
 		sessQueries   = flag.Int("sessionqueries", 0, "warm solves before a database's engine is retired (0 = default 512)")

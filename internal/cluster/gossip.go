@@ -47,6 +47,14 @@ type GossipState struct {
 	Health  map[string]NodeGossip `json:"health,omitempty"`
 }
 
+// decodeGossip reads one gossip document, capped at 1 MiB, from a
+// peer's request or reply body.
+func decodeGossip(body io.Reader) (GossipState, error) {
+	var gs GossipState
+	err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&gs)
+	return gs, err
+}
+
 // gossipState snapshots this router's gossip document.
 func (r *Router) gossipState() GossipState {
 	m := r.membership()
@@ -91,8 +99,8 @@ func (r *Router) mergeGossip(in GossipState) {
 // handleGossip is POST /v1/cluster/gossip: merge the sender's state,
 // reply with our own (post-merge, so the initiator sees the winner).
 func (r *Router) handleGossip(w http.ResponseWriter, req *http.Request) {
-	var in GossipState
-	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&in); err != nil {
+	in, err := decodeGossip(req.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, serve.ErrorResponse{
 			Error: serve.ReasonBadRequest, Detail: "gossip body: " + err.Error(),
 		})
@@ -122,8 +130,7 @@ func (r *Router) gossipOnce(ctx context.Context, peer string) {
 	if err != nil {
 		return // unreachable peer: retried next round, convergence only delayed
 	}
-	var reply GossipState
-	decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&reply)
+	reply, decErr := decodeGossip(resp.Body)
 	resp.Body.Close()
 	if decErr != nil || resp.StatusCode != http.StatusOK {
 		return

@@ -1,8 +1,8 @@
 // Package cluster is the horizontal tier over internal/serve: a
 // stateless HTTP router that consistent-hash-routes inference requests
 // onto a set of ddbserve workers, keyed by the compiled database's
-// fingerprint so warm sessions, verdict memos, and coalescing keep
-// their hit rates no matter how many nodes serve the keyspace.
+// fingerprint so warm sessions and verdict memos keep their hit rates
+// no matter how many nodes serve the keyspace.
 //
 // The paper's complexity landscape makes the locality worth the
 // machinery: a Σ₂ᵖ-cell query against a warm session costs a memo

@@ -87,12 +87,9 @@ type QueryResponse struct {
 	// Path reports how the answer was produced when the warm session
 	// layer is on: "memo" (a verdict completed earlier on any route,
 	// zero counters and no admission slot), "fast" (fragment fast
-	// path, zero NP calls), "session" (warm incremental engine),
-	// "coalesced" (shared from a concurrent identical request —
-	// counters and timings are the leader's, limits the request's
-	// own), or, with the planner on,
-	// "brute" (refsem model-set construction, zero NP calls). Empty for
-	// the fresh path.
+	// path, zero NP calls), "session" (warm incremental engine), or,
+	// with the planner on, "brute" (refsem model-set construction,
+	// zero NP calls). Empty for the fresh path.
 	Path    string  `json:"path,omitempty"`
 	Retries int     `json:"retries"`
 	QueueMS float64 `json:"queue_ms"`

@@ -85,7 +85,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				kind = "model"
 			}
 		}
-		pq := parsedQuery{semName: semName, d: d, eff: eff, comp: comp, dbText: req.DB}
+		pq := parsedQuery{semName: semName, d: d, eff: eff, comp: comp}
 		if err := pq.parseQuery(kind, q.Literal, q.Formula); err != nil {
 			results[i].Error = &ErrorResponse{Error: ReasonBadRequest, Detail: err.Error()}
 			continue

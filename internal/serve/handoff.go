@@ -19,7 +19,8 @@ import (
 // snapshot includes every write-behind, then dumps the session layer.
 // Import goes through the front door's readBody: it is refused during
 // drain — a departing worker must not accept state it is about to
-// discard — and a malformed body is a counted 400.
+// discard — and a malformed body is a counted 400. Every 4xx either
+// endpoint answers is counted in /healthz bad_request.
 
 // HandoffImportResponse reports what an import accepted.
 type HandoffImportResponse struct {
@@ -29,7 +30,7 @@ type HandoffImportResponse struct {
 
 func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 	if s.sessions == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{
+		s.reject(w, http.StatusNotFound, ErrorResponse{
 			Error: ReasonBadRequest, Detail: "session layer disabled; nothing to hand off",
 		})
 		return
@@ -46,7 +47,7 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 		var err error
 		ranges, err = keyspace.ParseRanges(raw)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{
+			s.reject(w, http.StatusBadRequest, ErrorResponse{
 				Error: ReasonBadRequest, Detail: err.Error(),
 			})
 			return
@@ -64,7 +65,7 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	if s.sessions == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{
+		s.reject(w, http.StatusNotFound, ErrorResponse{
 			Error: ReasonBadRequest, Detail: "session layer disabled; cannot import",
 		})
 		return

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"disjunct/internal/keyspace"
@@ -103,24 +105,52 @@ func TestHandoffExportRanges(t *testing.T) {
 	}
 }
 
-// TestHandoffExportBadRanges pins the typed-400 contract: a malformed
-// slice must be refused, never treated as "no filter" — exporting the
-// wrong slice would silently break the join's zero-cold-compile gate.
+// TestHandoffExportBadRanges pins the typed-4xx contract of both
+// handoff endpoints: a malformed slice must be refused, never treated
+// as "no filter" — exporting the wrong slice would silently break the
+// join's zero-cold-compile gate — and a server without the session
+// layer refuses both endpoints. Every refusal bumps /healthz
+// bad_request by exactly one and no other counter.
 func TestHandoffExportBadRanges(t *testing.T) {
-	_, ts := newSessionServer(t, Config{})
+	sessions := New(Config{Sessions: true})
+	plain := New(Config{})
+	type row struct {
+		name   string
+		srv    *Server
+		method string
+		target string
+		status int
+	}
+	var rows []row
 	for _, bad := range []string{"zz", "1-2-3", "g-1", "1-", ","} {
-		resp, err := http.Get(ts.URL + "/v1/handoff/export?ranges=" + bad)
-		if err != nil {
-			t.Fatalf("export ranges=%q: %v", bad, err)
-		}
-		var er ErrorResponse
-		decErr := json.NewDecoder(resp.Body).Decode(&er)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("export ranges=%q: status %d, want 400", bad, resp.StatusCode)
-		}
-		if decErr != nil || er.Error != ReasonBadRequest {
-			t.Fatalf("export ranges=%q: error %q (decode %v), want %q", bad, er.Error, decErr, ReasonBadRequest)
-		}
+		rows = append(rows, row{"ranges=" + bad, sessions, http.MethodGet, "/v1/handoff/export?ranges=" + bad, http.StatusBadRequest})
+	}
+	rows = append(rows,
+		row{"export/sessions_off", plain, http.MethodGet, "/v1/handoff/export", http.StatusNotFound},
+		row{"import/sessions_off", plain, http.MethodPost, "/v1/handoff/import", http.StatusNotFound},
+	)
+	for _, c := range rows {
+		t.Run(c.name, func(t *testing.T) {
+			before := frontDoorStats(t, c.srv)
+			rec := httptest.NewRecorder()
+			c.srv.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.target, strings.NewReader("{}")))
+			after := frontDoorStats(t, c.srv)
+			if rec.Code != c.status {
+				t.Fatalf("status %d, want %d; body %s", rec.Code, c.status, rec.Body.Bytes())
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error != ReasonBadRequest {
+				t.Fatalf("body %s, want reason %q", rec.Body.Bytes(), ReasonBadRequest)
+			}
+			for name, v := range after {
+				want := before[name]
+				if name == "bad_request" {
+					want++
+				}
+				if v != want {
+					t.Fatalf("stat %s = %d, want %d", name, v, want)
+				}
+			}
+		})
 	}
 }

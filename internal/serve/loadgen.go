@@ -63,7 +63,7 @@ type LoadConfig struct {
 	// HotDBs, when > 0, draws every job's database from a fixed pool
 	// of this many pre-generated databases instead of a fresh database
 	// per request — the repeat-DB workload that exercises the server's
-	// warm session layer (compiled-DB cache, memo, coalescing).
+	// warm session layer (compiled-DB cache, verdict memo, warm sessions).
 	HotDBs int
 	// RecordPath, when set, writes the run's completed verdicts to a
 	// JSON file keyed by job index. genJobs is a pure function of

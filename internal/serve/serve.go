@@ -113,8 +113,7 @@ type Config struct {
 	// Sessions switches on the warm query-session layer
 	// (internal/session): a compiled-DB artifact cache, a verdict memo
 	// in front of every route, fragment fast paths, warm incremental
-	// solver sessions, and cross-request coalescing of identical
-	// queries.
+	// solver sessions.
 	Sessions bool
 	// SessionCacheBytes / SessionMaxSessions / SessionMaxQueries /
 	// SessionBatchWindow tune the session manager (zero = its
@@ -193,7 +192,6 @@ type stats struct {
 	shedCost       atomic.Int64 // cost-aware admission sheds (planner on)
 	badRequest     atomic.Int64 // 400/404/422
 	retries        atomic.Int64 // query-level transient retries performed
-	coalesced      atomic.Int64 // requests answered from a concurrent leader's flight
 
 	batchRequests    atomic.Int64 // /v1/batch requests admitted
 	batchQueries     atomic.Int64 // queries carried by admitted batches
@@ -235,10 +233,8 @@ type Server struct {
 	breakers  map[string]*breaker
 
 	// sessions is the warm query-session layer and verdict memo, nil
-	// unless cfg.Sessions; flights coalesces identical concurrent
-	// requests.
+	// unless cfg.Sessions.
 	sessions *session.Manager
-	flights  flightGroup
 
 	// planner is the cost-based query planner, nil unless cfg.Planner.
 	// expBusy counts expensive-tier requests currently admitted
@@ -261,11 +257,8 @@ type Server struct {
 
 	// testHook, when non-nil, runs while a request holds an execution
 	// slot (before solving). Tests use it to hold slots open
-	// deterministically. flightHook, when non-nil, runs right after a
-	// request joins a coalescing flight; tests use it to order a leader
-	// against its followers deterministically.
-	testHook   func()
-	flightHook func(leader bool)
+	// deterministically.
+	testHook func()
 }
 
 // New builds a Server. Semantics must already be registered (blank-
@@ -286,7 +279,6 @@ func New(cfg Config) *Server {
 			BatchWindow:          cfg.SessionBatchWindow,
 			Store:                cfg.Store,
 		})
-		s.flights.m = map[flightKey]*flight{}
 		s.store = cfg.Store
 	}
 	if cfg.Planner {
@@ -506,11 +498,9 @@ type parsedQuery struct {
 	formula *logic.Formula
 	eff     budget.Limits
 	// comp is the compiled artifact when the session layer is on;
-	// qtext is the canonical query text and dbText the raw database
-	// text (coalescing key components).
-	comp   *session.Compiled
-	qtext  string
-	dbText string
+	// qtext is the canonical query text.
+	comp  *session.Compiled
+	qtext string
 	// dec is the planner's pre-admission decision; planned reports
 	// whether one was made (planner on and artifact compiled).
 	dec     plan.Decision
@@ -534,7 +524,7 @@ func (pq parsedQuery) sessionRequest(kind string, b *budget.B) session.Request {
 // its artifact. Fast-path answers are not persisted: they cost nothing
 // to re-derive.
 func (s *Server) remember(comp *session.Compiled, kind string, pq parsedQuery, resp QueryResponse) {
-	if s.sessions == nil || comp == nil || resp.Incomplete || resp.Path == "memo" || resp.Path == "coalesced" {
+	if s.sessions == nil || comp == nil || resp.Incomplete || resp.Path == "memo" {
 		return
 	}
 	s.sessions.Remember(comp, pq.sessionRequest(kind, nil), resp.Holds, resp.Path != "fast")
@@ -756,7 +746,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, kind string, r *http.Request
 	if pq.comp, pq.d, ok = s.loadDB(w, req.DB); !ok {
 		return pq, false
 	}
-	pq.semName, pq.dbText = req.Semantics, req.DB
+	pq.semName = req.Semantics
 	if err := pq.parseQuery(kind, req.Literal, req.Formula); err != nil {
 		s.reject(w, http.StatusBadRequest, ErrorResponse{Error: ReasonBadRequest, Detail: err.Error()})
 		return pq, false
@@ -850,60 +840,9 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 		}
 		defer s.leave()
 
-		// Coalesce identical concurrent requests: the first arrival
-		// leads and solves; followers reuse its response when it is a
-		// complete verdict, and re-execute themselves otherwise (an
-		// incomplete or semantic-error outcome can depend on the
-		// leader's own timing and budget). Followers wait holding their
-		// own admission slots, so the leader is never starved, and no
-		// longer than their own deadline.
-		var fl *flight
-		var flKey flightKey
-		if s.sessions != nil {
-			flKey = flightKey{db: pq.dbText, sem: pq.semName, kind: kind, query: pq.qtext}
-			f, leader := s.flights.join(flKey)
-			if s.flightHook != nil {
-				s.flightHook(leader)
-			}
-			if leader {
-				fl = f
-			} else {
-				var expired <-chan time.Time
-				if pq.eff.Deadline > 0 {
-					t := time.NewTimer(pq.eff.Deadline)
-					defer t.Stop()
-					expired = t.C
-				}
-				select {
-				case <-f.done:
-					if f.ok {
-						s.stats.coalesced.Add(1)
-						resp := f.resp
-						resp.Path = "coalesced"
-						resp.Limits = LimitsFrom(pq.eff)
-						resp.QueueMS = float64(res.waited) / float64(time.Millisecond)
-						br.record(false)
-						s.stats.completed.Add(1)
-						writeJSON(w, http.StatusOK, resp)
-						return
-					}
-					// Leader's outcome is not sharable: fall through and
-					// run the query ourselves (without leading).
-				case <-r.Context().Done():
-					// Our client is going away; execute() surfaces the
-					// typed cancellation.
-				case <-expired:
-					// The leader outlasted our deadline: solve ourselves.
-				}
-			}
-		}
-
 		resp, semErr := s.execute(r.Context(), kind, pq)
 		if semErr == nil {
 			s.remember(pq.comp, kind, pq, resp)
-		}
-		if fl != nil {
-			s.flights.finish(flKey, fl, resp, semErr == nil && !resp.Incomplete)
 		}
 		if semErr != nil {
 			s.reject(w, http.StatusUnprocessableEntity, semanticError(pq.semName, semErr))
@@ -988,7 +927,6 @@ func (s *Server) health() Health {
 			"shed_cost":          s.stats.shedCost.Load(),
 			"bad_request":        s.stats.badRequest.Load(),
 			"retries":            s.stats.retries.Load(),
-			"coalesced":          s.stats.coalesced.Load(),
 			"batch_requests":     s.stats.batchRequests.Load(),
 			"batch_queries":      s.stats.batchQueries.Load(),
 			"streams":            s.stats.streams.Load(),

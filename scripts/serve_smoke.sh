@@ -58,7 +58,7 @@ grep -q "clean drain" "$LOG" || {
 # --- session smoke -------------------------------------------------
 # Second pass with the warm-session layer on and a repeat-DB workload:
 # a fixed pool of 6 databases replayed with verdict verification. Every
-# session-served, coalesced, or fast-path verdict must match the direct
+# session-served, memo, or fast-path verdict must match the direct
 # library call (ddbload exits nonzero on divergence), the session layer
 # must actually engage, and no session may stay checked out afterwards.
 SLOG="${TMPDIR:-/tmp}/ddbserve-session-smoke.log"
