@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPrefixRestore -fuzztime=30s -fuzzminimizetime=1x ./internal/sat
 	$(GO) test -fuzz=FuzzPWSRefsem -fuzztime=30s -fuzzminimizetime=1x ./internal/semantics/pws
 	$(GO) test -fuzz=FuzzPDSMRefsem -fuzztime=30s -fuzzminimizetime=1x ./internal/semantics/pdsm
+	$(GO) test -fuzz=FuzzHCFMinimal -fuzztime=30s -fuzzminimizetime=1x ./internal/models
 	$(GO) test -fuzz=FuzzServeQuery -fuzztime=30s -fuzzminimizetime=1x ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeQueryBody -fuzztime=30s -fuzzminimizetime=1x ./internal/serve
 	$(GO) test -fuzz=FuzzParseRanges -fuzztime=30s -fuzzminimizetime=1x ./internal/keyspace

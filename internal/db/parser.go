@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
@@ -17,7 +18,9 @@ import (
 // '%' starts a comment running to end of line. The "←" of the paper is
 // written ":-"; "∨" is "|" (";" is also accepted); "∧" is "," (or "&");
 // "¬" is "not", "-" or "~". Atom names follow the identifier syntax of
-// package logic's formula parser.
+// package logic's formula parser, except that "not" is a keyword in
+// every position: an atom named "not" is a parse error wrapping
+// ErrReservedWord, so every accepted text's rendering parses again.
 func Parse(input string) (*DB, error) {
 	d := New()
 	if err := ParseInto(input, d); err != nil {
@@ -32,6 +35,10 @@ func ParseInto(input string, d *DB) error {
 	p := &dbParser{src: input, db: d}
 	return p.run()
 }
+
+// ErrReservedWord is wrapped by the parse error of a text that names an
+// atom "not".
+var ErrReservedWord = errors.New("reserved word")
 
 type dbParser struct {
 	src  string
@@ -108,6 +115,9 @@ func (p *dbParser) ident() (string, error) {
 	}
 	if name == "" {
 		return "", p.errorf("expected atom name")
+	}
+	if name == "not" {
+		return "", fmt.Errorf("db: line %d: %w: %q is not an atom name", p.line+1, ErrReservedWord, name)
 	}
 	return name, nil
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,51 @@ func TestNormalizeIdempotent(t *testing.T) {
 			if len(again.Head) != len(c.Head) || len(again.PosBody) != len(c.PosBody) {
 				t.Fatalf("Normalize not idempotent: %+v vs %+v", c, again)
 			}
+		}
+	}
+}
+
+// TestNotIsReserved lists every input shape whose acceptance changed
+// when "not" became a keyword in every position: each names an atom
+// "not" and is now refused with ErrReservedWord. The accepted column
+// pins the neighbours that still parse, each round-tripping through
+// String.
+func TestNotIsReserved(t *testing.T) {
+	for _, in := range []string{
+		":-A&not A&not.", // its rendering ":- A, not, not A." did not parse
+		"not.",
+		"not | a.",
+		"a | not.",
+		"a; not :- b.",
+		"a :- not.",
+		"a :- b, not.",
+		":- not.",
+		":- a & not.",
+		"a :- not not.",
+		"a :- ~not.",
+		"a :- -not.",
+		"a :- not\n  not.",
+	} {
+		_, err := Parse(in)
+		if !errors.Is(err, ErrReservedWord) {
+			t.Errorf("Parse(%q) = %v, want ErrReservedWord", in, err)
+		}
+	}
+	for _, in := range []string{
+		"a :- not b.",
+		"nota :- notb, not note.",
+		"not.x :- not not.y.",
+		"a :- not.b.",
+		"knot | not_ | not1.",
+	} {
+		d, err := Parse(in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", in, err)
+			continue
+		}
+		again, err := Parse(d.String())
+		if err != nil || again.String() != d.String() {
+			t.Errorf("%q renders as %q, which parses as %v (err %v)", in, d.String(), again, err)
 		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"sync"
 
 	"disjunct/internal/budget"
+	"disjunct/internal/db"
 	"disjunct/internal/logic"
 	"disjunct/internal/oracle"
 	"disjunct/internal/sat"
+	"disjunct/internal/strat"
 )
 
 // This file is the model engine's only enumeration surface. Every
@@ -229,6 +231,7 @@ func (p *pumpIter) Close() error {
 type enumSearch struct {
 	e     *Engine
 	s     *sat.Solver
+	free  func() // returns s to the oracle's pool
 	block []sat.Lit
 	done  bool
 }
@@ -242,7 +245,7 @@ func (es *enumSearch) step() (logic.Interp, bool) {
 	}
 	n := es.e.n
 	if es.s == nil {
-		es.s = es.e.Ora.SatSolver(n, es.e.cnf)
+		es.s, es.free = es.e.Ora.SatSolver(n, es.e.cnf)
 	}
 	if es.s.Solve() != sat.Sat {
 		es.done = true
@@ -264,13 +267,21 @@ func (es *enumSearch) step() (logic.Interp, bool) {
 	return m, true
 }
 
+// release returns the solver to the pool; later calls do nothing.
+func (es *enumSearch) release() {
+	if es.free != nil {
+		es.free()
+		es.free, es.s, es.done = nil, nil, true
+	}
+}
+
 // IterateModels enumerates every model of the database over the
 // original vocabulary. Each model costs one NP call, plus one for the
 // solver build (blocked solver reuse is an implementation detail of
 // the sat package). limit ≤ 0 means unlimited.
 func (e *Engine) IterateModels(limit int) ModelIterator {
 	es := &enumSearch{e: e}
-	return &stepIter{step: es.step, limit: limit}
+	return &stepIter{step: es.step, release: es.release, limit: limit}
 }
 
 // IterateModelsPar is IterateModels across the cube-decomposed worker
@@ -326,6 +337,103 @@ func (e *Engine) IterateMinimalModelsPZPar(part Partition, limit int, opt ParOpt
 	return newPumpIter(limit, func(yield func(logic.Interp) bool) {
 		e.minimalModelsPZPar(part, limit, opt, yield)
 	})
+}
+
+// ErrHeadCycle is the terminal error of IterateMinimalModelsHCF on a
+// database that is not head-cycle-free.
+var ErrHeadCycle = errors.New("models: database is not head-cycle-free")
+
+// IterateMinimalModelsHCF enumerates MM(DB), the minimal models of
+// d.ToCNF(), for a head-cycle-free d (strat.HeadCycleFree): the set of
+// IterateMinimalModels, in another order, at one NP call per model
+// plus one. On such a d the minimal models are exactly the stable
+// models of the shifted normal program (Ben-Eliyahu & Dechter), whose
+// support encoding (strat.Support) is loaded once into one pooled
+// incremental solver. Each solution's atoms M are then blocked by
+// ⋁_{a∈M} ¬a, as in IterateMinimalModels: no model found later
+// contains M, and every solution is minimal, so none needs a
+// minimality check. M = ∅ blocks with the empty clause and ends the
+// enumeration. On a d with a head cycle the iterator ends at once with
+// ErrHeadCycle, at no NP call. o is the oracle charged (a fresh one if
+// nil); limit ≤ 0 means unlimited.
+func IterateMinimalModelsHCF(d *db.DB, o *oracle.NP, limit int) ModelIterator {
+	if o == nil {
+		o = oracle.NewNP()
+	}
+	hs := &hcfSearch{d: d, o: o}
+	return &stepIter{step: hs.step, release: hs.release, limit: limit}
+}
+
+// hcfSearch is enumSearch on the shifted encoding: one NP call for the
+// solver build and one per model found.
+type hcfSearch struct {
+	d    *db.DB
+	o    *oracle.NP
+	s    *sat.Solver
+	free func()    // returns s to the oracle's pool
+	lits []sat.Lit // the clause being loaded or blocked
+	done bool
+}
+
+// step finds the next model. The solver is built and the encoding
+// loaded lazily, so that a budget trip during either surfaces from the
+// first step inside the iterator's Recover.
+func (hs *hcfSearch) step() (logic.Interp, bool) {
+	if hs.done {
+		return logic.Interp{}, false
+	}
+	n := hs.d.N()
+	if hs.s == nil {
+		if _, ok := strat.Support(hs.d, n, true, hs.o.Budget(), hs); !ok {
+			hs.done = true
+			budget.Trip(ErrHeadCycle) // carried to the terminal error
+		}
+		hs.build() // an empty database loads no clause
+	}
+	if oracle.CheckSolve(hs.s, hs.s.Solve()) != sat.Sat {
+		hs.done = true
+		return logic.Interp{}, false
+	}
+	hs.o.CountCall()
+	m := logic.NewInterp(n)
+	hs.lits = hs.lits[:0]
+	for v := 0; v < n; v++ {
+		if hs.s.Model(v) {
+			m.True.Set(v)
+			hs.lits = append(hs.lits, sat.MkLit(v, false))
+		}
+	}
+	if !hs.s.AddClause(hs.lits...) {
+		hs.done = true // blocked the last model, or M = ∅
+	}
+	return m, true
+}
+
+// build takes the solver, charging the NP call of its build, unless
+// the search holds one.
+func (hs *hcfSearch) build() {
+	if hs.s == nil {
+		hs.s, hs.free = hs.o.SatSolver(hs.d.N(), nil)
+	}
+}
+
+// Clause loads one clause of the encoding into the solver, built on the
+// first clause, so a refused database costs no NP call (strat.Sink).
+func (hs *hcfSearch) Clause(cl logic.Clause) {
+	hs.build()
+	hs.lits = hs.lits[:0]
+	for _, l := range cl {
+		hs.lits = append(hs.lits, sat.MkLit(int(l.Atom()), l.IsPos()))
+	}
+	hs.s.AddClause(hs.lits...)
+}
+
+// release returns the solver to the pool; later calls do nothing.
+func (hs *hcfSearch) release() {
+	if hs.free != nil {
+		hs.free()
+		hs.free, hs.s, hs.done = nil, nil, true
+	}
 }
 
 // Drain pulls it dry, feeding each model to yield, and maps the

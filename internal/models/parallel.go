@@ -157,7 +157,8 @@ func (e *Engine) enumerateModelsPar(limit int, opt ParOptions, yield func(logic.
 				panic(r)
 			}
 		}()
-		s := e.Ora.SatSolver(n, e.cnf)
+		s, release := e.Ora.SatSolver(n, e.cnf)
+		defer release()
 		for b := 0; b < k; b++ {
 			if !s.AddClause(sat.MkLit(b, c>>b&1 == 1)) {
 				return // cube contradicts the database at level 0

@@ -97,7 +97,8 @@ func TestCountersConcurrent(t *testing.T) {
 func TestSatSolverRecordsTopLevelConflict(t *testing.T) {
 	o := NewNP()
 	x := logic.Atom(0)
-	s := o.SatSolver(1, logic.CNF{{logic.PosLit(x)}, {logic.NegLit(x)}})
+	s, release := o.SatSolver(1, logic.CNF{{logic.PosLit(x)}, {logic.NegLit(x)}})
+	defer release()
 	if s.Okay() {
 		t.Fatal("solver should be dead after a top-level conflict")
 	}

@@ -17,13 +17,14 @@
 //
 // Solvers for one-shot queries come from a process-wide sync.Pool. Sat
 // Resets a pooled solver and loads the query CNF into its clause arena,
-// so a warm query allocates only the model it returns. A query series
-// that shares a clause prefix (the minimal-model search: the database,
-// its blocking clauses, then a few units per query) loads the prefix
-// once into a pooled template with Prefix, and each Prefix.Sat copies
-// the template (Solver.CopyFrom) and loads only its suffix. Prefix.Sat
-// is exactly Sat on the concatenated CNF: same verdict, model,
-// counters, budget charges and fault draws.
+// so a warm query allocates only the model it returns. The incremental
+// solvers of SatSolver come from the same pool and go back through the
+// release it returns. A query series that shares a clause prefix (the
+// minimal-model search: the database, its blocking clauses, then a few
+// units per query) loads the prefix once into a pooled template with
+// Prefix, and each Prefix.Sat copies the template (Solver.CopyFrom) and
+// loads only its suffix. Prefix.Sat is exactly Sat on the concatenated
+// CNF: same verdict, model, counters, budget charges and fault draws.
 package oracle
 
 import (
@@ -326,27 +327,32 @@ func (o *NP) solve(s *sat.Solver, nVars int, loaded bool) (bool, logic.Interp) {
 	return true, m
 }
 
-// SatSolver builds an incremental solver preloaded with the CNF and
+// SatSolver returns an incremental solver preloaded with the CNF and
 // counts its construction as one NP call; additional Solve calls on the
-// returned solver should be counted by the caller via CountCall.
+// returned solver should be counted by the caller via CountCall. The
+// solver comes from the pool Sat draws from (reset to the state of a
+// fresh sat.New(nVars)), and release returns it there: call release
+// exactly once, when done with the solver, and do not touch the solver
+// afterwards. A caller may keep adding clauses, including over new
+// variables (AddClause grows the solver).
 //
 // Contract on UNSAT-at-level-0: if adding a clause yields a top-level
 // conflict, loading stops, the conflict is recorded in the counters
 // (SATConfl), and the returned solver is in the dead state — Okay()
 // reports false and every subsequent Solve returns Unsat immediately.
 //
-// The returned solver is owned by the caller and is NOT pooled (the
-// oracle cannot know when the caller is done with it); it is also not
-// safe for concurrent use — parallel workers each build their own.
-func (o *NP) SatSolver(nVars int, cnf logic.CNF) *sat.Solver {
+// The solver is not safe for concurrent use — parallel workers each
+// take their own.
+func (o *NP) SatSolver(nVars int, cnf logic.CNF) (s *sat.Solver, release func()) {
 	o.chargeCall()
 	o.npCalls.Add(1)
-	s := sat.New(nVars)
+	s = o.getSolver()
+	s.Reset(nVars)
 	s.SetBudget(o.bres.Load())
 	if !load(s, cnf...) {
 		o.satConfl.Add(s.Stats().Conflicts + 1)
 	}
-	return s
+	return s, func() { o.putSolver(s) }
 }
 
 // CountCall records one additional NP-oracle invocation (for callers

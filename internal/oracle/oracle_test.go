@@ -84,7 +84,8 @@ func TestSatSolverIncremental(t *testing.T) {
 	v := logic.NewVocabulary()
 	a := v.Intern("a")
 	cnf := logic.CNF{{logic.PosLit(a)}}
-	s := o.SatSolver(1, cnf)
+	s, release := o.SatSolver(1, cnf)
+	defer release()
 	if got := s.Solve(); got.String() != "SAT" {
 		t.Fatalf("solver wrong: %v", got)
 	}

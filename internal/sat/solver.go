@@ -201,11 +201,20 @@ func (s *Solver) grow(n int) {
 		s.seen = append(s.seen, false)
 		s.assumed = append(s.assumed, false)
 	}
+	old := s.nVars
 	s.nVars = n
 	if s.order == nil {
 		s.order = newVarHeap(&s.activity)
 	}
-	for v := 0; v < n; v++ {
+	// Every variable goes (back) into the heap, so one that left it
+	// assigned at level 0 returns. When the heap holds every old
+	// variable, inserting them again changes nothing: only the new ones
+	// are inserted, and growing one variable at a time stays linear.
+	from := 0
+	if len(s.order.heap) == old {
+		from = old
+	}
+	for v := from; v < n; v++ {
 		s.order.insert(v)
 	}
 }

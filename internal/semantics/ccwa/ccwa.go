@@ -133,7 +133,8 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 	defer budget.Recover(&err)
 	cnf := s.closureCNF(d)
 	n := d.N()
-	solver := s.opts.Oracle.SatSolver(n, cnf)
+	solver, release := s.opts.Oracle.SatSolver(n, cnf)
+	defer release()
 	solver.EnumerateModels(n, limit, func(model []bool) bool {
 		s.opts.Oracle.CountCall()
 		m := logic.NewInterp(n)

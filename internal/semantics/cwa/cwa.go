@@ -203,7 +203,8 @@ func (s *Sem) InferFormula(d *db.DB, f *logic.Formula) (ok bool, err error) {
 func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count int, err error) {
 	defer budget.Recover(&err)
 	n := d.N()
-	solver := s.opts.Oracle.SatSolver(n, s.closureCNF(d))
+	solver, release := s.opts.Oracle.SatSolver(n, s.closureCNF(d))
+	defer release()
 	solver.EnumerateModels(n, limit, func(model []bool) bool {
 		s.opts.Oracle.CountCall()
 		m := logic.NewInterp(n)

@@ -22,9 +22,6 @@
 package pws
 
 import (
-	"math/bits"
-	"slices"
-
 	"disjunct/internal/bitset"
 	"disjunct/internal/budget"
 	"disjunct/internal/core"
@@ -32,6 +29,7 @@ import (
 	"disjunct/internal/fixpoint"
 	"disjunct/internal/logic"
 	"disjunct/internal/oracle"
+	"disjunct/internal/strat"
 )
 
 func init() {
@@ -164,246 +162,33 @@ func (s *Sem) Models(d *db.DB, limit int, yield func(logic.Interp) bool) (count 
 
 // possibleCNF encodes "M is a possible model of d" (CheckModel's
 // characterization) over d's atoms plus auxiliary variables numbered
-// from base ≥ d.N(); it returns the variable count and the clauses.
-// The clauses are M ⊨ DB (integrity clauses included) and
-// well-supportedness: every atom of M is derived by the least fixpoint
-// of the "all heads within M" operator.
-//
-// Well-supportedness is completion plus level ranking (Janhunen) inside
-// the strongly connected components of the positive dependency graph
-// (head atom → body atom). Each atom a of M needs a supporting rule r,
-// a ∈ H(r), whose body holds: a → ⋁ s_r, s_r → b for b ∈ B⁺(r). An atom
-// of a component C with |C| > 1 also carries a rank of ⌈log₂|C|⌉ bits,
-// and r supports it only if the body atoms inside C rank lower: exactly
-// one lower when there is one of them, so unit propagation computes
-// ranks along a chain instead of the solver searching for them. A rule
-// with a in its own body never supports a. The longest chain of
-// supporting rules below each atom of a possible model gives such
-// ranks, and ranks order a derivation, so the encoding is exact; it has
-// O(|DB|·log n) clauses, and on an acyclic graph it is plain
-// completion. A one-atom body stands for its own s_r, and an
-// empty-body rule makes its head atoms' support clauses vacuous. The
-// encoding polls b every 1024 atoms and trips it once exhausted.
+// from base ≥ d.N(); it returns the variable count and the clauses:
+// strat.Support's encoding of the "all heads within M" program, M ⊨ DB
+// (integrity clauses included) and well-supportedness, with completion
+// plus level ranking inside the positive dependency graph's strongly
+// connected components. The encoding polls b every 1024 atoms and trips
+// it once exhausted.
 func possibleCNF(d *db.DB, base int, b *budget.B) (int, logic.CNF) {
-	n := d.N()
-	heads := headIndex(d)
-	comp, size := components(d.Clauses, heads)
-
-	// Added clauses are cut from literal chunks of doubling size, so
-	// the encoding costs a few allocations, not one per clause, and a
-	// full chunk is left to its clauses rather than copied.
-	cnf := slices.Grow(d.ToCNF(), len(d.Clauses)+2*n)
-	var lits []logic.Lit
-	clause := func(ls ...logic.Lit) {
-		if cap(lits)-len(lits) < len(ls) {
-			lits = make([]logic.Lit, 0, max(64, 2*cap(lits), len(ls)))
-		}
-		lits = append(lits, ls...)
-		cnf = append(cnf, lits[len(lits)-len(ls):len(lits):len(lits)])
-	}
-	next := base
-	fresh := func() logic.Lit {
-		next++
-		return logic.PosLit(logic.Atom(next - 1))
-	}
-
-	// rank[a] is the first of a's width(a) rank bits, least significant
-	// first.
-	width := func(a int) int {
-		if size[comp[a]] == 1 {
-			return 0
-		}
-		return bits.Len(uint(size[comp[a]] - 1))
-	}
-	ranks, rank := next, make([]int, n)
-	for a := range rank {
-		rank[a] = next
-		next += width(a)
-	}
-	bit := func(a, i int) logic.Lit { return logic.PosLit(logic.Atom(rank[a] + i)) }
-	// less adds g → rank(x) < rank(y), x and y in one component: at
-	// each bit from the top, x's bit is at most y's, and equal bits
-	// pass the strict comparison on to the bits below.
-	less := func(g logic.Lit, x, y int) {
-		for i := width(y) - 1; i > 0; i-- {
-			below := fresh()
-			clause(g.Neg(), bit(x, i).Neg(), bit(y, i))
-			clause(g.Neg(), bit(x, i).Neg(), below)
-			clause(g.Neg(), bit(y, i), below)
-			g = below
-		}
-		clause(g.Neg(), bit(x, 0).Neg())
-		clause(g.Neg(), bit(y, 0))
-	}
-	// ones[rank[a]-ranks+i] holds iff a's rank bits 0..i are all ones;
-	// onesOf makes a's on first use (0, an original atom, marks unmade).
-	ones := make([]logic.Lit, next-ranks)
-	onesOf := func(a int) []logic.Lit {
-		o := ones[rank[a]-ranks : rank[a]-ranks+width(a)]
-		if o[0] == 0 {
-			o[0] = bit(a, 0)
-			for i := 1; i < len(o); i++ {
-				o[i] = fresh()
-				clause(o[i].Neg(), o[i-1])
-				clause(o[i].Neg(), bit(a, i))
-				clause(o[i], o[i-1].Neg(), bit(a, i).Neg())
-			}
-		}
-		return o
-	}
-	// succ adds g → rank(y) = rank(x) + 1, x and y in one component:
-	// x's bits are not all ones, and each bit of y is x's, flipped when
-	// x's bits below it are all ones (always for bit 0).
-	succ := func(g logic.Lit, x, y int) {
-		o := onesOf(x)
-		clause(g.Neg(), o[len(o)-1].Neg())
-		clause(g.Neg(), bit(x, 0), bit(y, 0))
-		clause(g.Neg(), bit(x, 0).Neg(), bit(y, 0).Neg())
-		for i := 1; i < len(o); i++ {
-			xi, yi, c := bit(x, i), bit(y, i), o[i-1]
-			clause(g.Neg(), xi.Neg(), c.Neg(), yi.Neg())
-			clause(g.Neg(), xi, c, yi.Neg())
-			clause(g.Neg(), xi, c.Neg(), yi)
-			clause(g.Neg(), xi.Neg(), c, yi)
-		}
-	}
-
-	// body(r) returns a literal implying B⁺(r), made on first use;
-	// always marks an empty body.
-	const always, unset logic.Lit = -1, -2
-	bodies := make([]logic.Lit, len(d.Clauses))
-	for r := range bodies {
-		bodies[r] = unset
-	}
-	body := func(r int) logic.Lit {
-		if bodies[r] != unset {
-			return bodies[r]
-		}
-		switch atoms := d.Clauses[r].PosBody; len(atoms) {
-		case 0:
-			bodies[r] = always
-		case 1:
-			bodies[r] = logic.PosLit(atoms[0])
-		default:
-			s := fresh()
-			for _, x := range atoms {
-				clause(s.Neg(), logic.PosLit(x))
-			}
-			bodies[r] = s
-		}
-		return bodies[r]
-	}
-
-	var support []logic.Lit // ¬a ∨ ⋁ s_r over the rules r that can support a
-	var same []int
-	for a := range heads {
-		if a%1024 == 1023 {
-			if err := b.Err(); err != nil {
-				budget.Trip(err)
-			}
-		}
-		support = append(support[:0], logic.NegLit(logic.Atom(a)))
-		vacuous := false
-	rules:
-		for _, r := range heads[a] {
-			same = same[:0] // B⁺(r) inside a's component
-			for _, x := range d.Clauses[r].PosBody {
-				if int(x) == a {
-					continue rules // a ← …, a, … never derives a
-				}
-				if comp[x] == comp[a] {
-					same = append(same, int(x))
-				}
-			}
-			s := body(r)
-			if s == always {
-				vacuous = true
-				break
-			}
-			if len(same) > 0 {
-				t := fresh()
-				clause(t.Neg(), s)
-				if len(same) == 1 {
-					succ(t, same[0], a)
-				} else {
-					for _, x := range same {
-						less(t, x, a)
-					}
-				}
-				s = t
-			}
-			support = append(support, s)
-		}
-		if !vacuous {
-			clause(support...)
-		}
-	}
-	return next, cnf
+	k := &cnfSink{cnf: make(logic.CNF, 0, 2*len(d.Clauses)+2*d.N())}
+	next, _ := strat.Support(d, base, false, b, k)
+	return next, k.cnf
 }
 
-// headIndex lists, for each atom a, the indices of d's clauses with a
-// in their head.
-func headIndex(d *db.DB) [][]int {
-	heads := make([][]int, d.N())
-	for r, c := range d.Clauses {
-		for _, h := range c.Head {
-			heads[h] = append(heads[h], r)
-		}
-	}
-	return heads
+// cnfSink collects an encoding's clauses. They are cut from literal
+// chunks of doubling size, so the encoding costs a few allocations, not
+// one per clause, and a full chunk is left to its clauses rather than
+// copied.
+type cnfSink struct {
+	cnf  logic.CNF
+	lits []logic.Lit
 }
 
-// components numbers the strongly connected components of the positive
-// dependency graph of clauses (head atom → body atom) by Tarjan's
-// algorithm: comp[a] is a's component and size[comp[a]] its atom
-// count; heads[a] lists the clauses with a in their head.
-func components(clauses []db.Clause, heads [][]int) (comp, size []int) {
-	n := len(heads)
-	index := make([]int, n) // discovery order from 1; 0 = unvisited
-	low := make([]int, n)
-	comp = make([]int, n)
-	onStack := make([]bool, n)
-	var stack []int
-	order := 0
-	var visit func(a int)
-	visit = func(a int) {
-		order++
-		index[a], low[a] = order, order
-		stack = append(stack, a)
-		onStack[a] = true
-		for _, r := range heads[a] {
-			for _, b := range clauses[r].PosBody {
-				switch {
-				case index[b] == 0:
-					visit(int(b))
-					low[a] = min(low[a], low[b])
-				case onStack[b]:
-					low[a] = min(low[a], index[b])
-				}
-			}
-		}
-		if low[a] < index[a] {
-			return
-		}
-		c := len(size)
-		size = append(size, 0)
-		for {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			onStack[b] = false
-			comp[b] = c
-			size[c]++
-			if b == a {
-				return
-			}
-		}
+func (k *cnfSink) Clause(ls logic.Clause) {
+	if cap(k.lits)-len(k.lits) < len(ls) {
+		k.lits = make([]logic.Lit, 0, max(64, 2*cap(k.lits), len(ls)))
 	}
-	for a := range heads {
-		if index[a] == 0 {
-			visit(a)
-		}
-	}
-	return comp, size
+	k.lits = append(k.lits, ls...)
+	k.cnf = append(k.cnf, k.lits[len(k.lits)-len(ls):len(k.lits):len(k.lits)])
 }
 
 // CheckModel reports whether m is a possible model of d satisfying its

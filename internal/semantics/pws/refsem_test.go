@@ -10,6 +10,7 @@ import (
 	"disjunct/internal/gen"
 	"disjunct/internal/logic"
 	"disjunct/internal/refsem"
+	"disjunct/internal/strat"
 )
 
 // splitPrograms is the number of split programs refsem.PWS walks:
@@ -75,7 +76,7 @@ func referenceCorpus(t *testing.T, check func(label string, rng *rand.Rand, d *d
 				}
 			}
 			label := fmt.Sprintf("seed %d db %d", seed, i)
-			comp, size := components(d.Clauses, headIndex(d))
+			comp, size := strat.Components(d)
 			for _, a := range ring {
 				if comp[a] != comp[ring[0]] {
 					t.Fatalf("%s: forced cycle split across components\n%s", label, d.String())

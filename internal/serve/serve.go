@@ -198,6 +198,7 @@ type stats struct {
 	streams          atomic.Int64 // /v1/models/stream requests admitted
 	streamModels     atomic.Int64 // model rows emitted across all streams
 	streamClientGone atomic.Int64 // streams cut by a client disconnect
+	streamHCF        atomic.Int64 // streams served by the head-cycle-free minimal-model iterator
 }
 
 // Server is the inference service. Create with New, mount Handler on
@@ -932,6 +933,7 @@ func (s *Server) health() Health {
 			"streams":            s.stats.streams.Load(),
 			"stream_models":      s.stats.streamModels.Load(),
 			"stream_client_gone": s.stats.streamClientGone.Load(),
+			"stream_hcf":         s.stats.streamHCF.Load(),
 		},
 	}
 	if s.sessions != nil {

@@ -8,15 +8,21 @@ import (
 	"time"
 
 	"disjunct/internal/budget"
+	"disjunct/internal/db"
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
+	"disjunct/internal/session"
+	"disjunct/internal/strat"
 )
 
 // handleStream serves POST /v1/models/stream: NDJSON enumeration of a
 // database's models (or minimal models) through the pull-based model
 // iterators. Rows flush as they are produced, so time-to-first-model
-// is one SAT solve, not a full enumeration. Every stream — including
+// is one SAT solve, not a full enumeration. A serial minimal-model
+// stream on a head-cycle-free database takes
+// models.IterateMinimalModelsHCF: one NP call per model plus one, the
+// same model set in another order. Every stream — including
 // interrupted ones — ends with a terminal StreamDoneRow whose Cause is
 // typed: "complete", "limit", a budget cause code, "canceled" (drain),
 // or "client_gone" (the client hung up mid-stream). Client
@@ -66,22 +72,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// No fault injection on streams: an injected mid-stream failure
 	// would be indistinguishable from a genuine interruption to the
 	// consumer, and streams don't participate in retry/breaker logic.
-	var eng *models.Engine
-	if comp != nil {
-		eng = models.NewEngineCNF(comp.D.N(), o, comp.CNF)
-	} else {
-		eng = models.NewEngine(d, o)
-	}
 	var it models.ModelIterator
-	switch {
-	case kind == "models" && req.Parallel:
-		it = eng.IterateModelsPar(limit, models.ParOptions{})
-	case kind == "models":
-		it = eng.IterateModels(limit)
-	case req.Parallel:
-		it = eng.IterateMinimalModelsPar(limit, models.ParOptions{})
-	default:
-		it = eng.IterateMinimalModels(limit)
+	if kind == "minimal" && !req.Parallel && headCycleFree(comp, d) {
+		// One NP call per model: the stable models of the shifted
+		// program are the minimal models (strat.HeadCycleFree).
+		s.stats.streamHCF.Add(1)
+		it = models.IterateMinimalModelsHCF(d, o, limit)
+	} else {
+		var eng *models.Engine
+		if comp != nil {
+			eng = models.NewEngineCNF(comp.D.N(), o, comp.CNF)
+		} else {
+			eng = models.NewEngine(d, o)
+		}
+		switch {
+		case kind == "models" && req.Parallel:
+			it = eng.IterateModelsPar(limit, models.ParOptions{})
+		case kind == "models":
+			it = eng.IterateModels(limit)
+		case req.Parallel:
+			it = eng.IterateMinimalModelsPar(limit, models.ParOptions{})
+		default:
+			it = eng.IterateMinimalModels(limit)
+		}
 	}
 	defer it.Close()
 
@@ -131,6 +144,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if enc.Encode(done) == nil && flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// headCycleFree reports whether d is head-cycle-free, from the
+// artifact's cached bit when there is an artifact.
+func headCycleFree(comp *session.Compiled, d *db.DB) bool {
+	if comp != nil {
+		return comp.HeadCycleFree()
+	}
+	return strat.HeadCycleFree(d)
 }
 
 // streamCause maps an iterator terminal error onto the stream cause

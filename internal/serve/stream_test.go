@@ -19,6 +19,7 @@ import (
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
+	"disjunct/internal/strat"
 )
 
 // openStream POSTs a stream request and returns the live response; the
@@ -79,8 +80,10 @@ func scanStream(t *testing.T, resp *http.Response) (rows []string, done StreamDo
 }
 
 // directModels enumerates the same model set with a plain library call
-// — through the same enumerator family the stream would use — and
-// returns the sorted-atom keys plus the oracle's NP-call count.
+// — through the same enumerator family the stream would use, picked by
+// the server's rule (serial minimal streams on head-cycle-free
+// databases take IterateMinimalModelsHCF) — and returns the sorted-atom
+// keys plus the oracle's NP-call count.
 func directModels(t *testing.T, dbText, kind string, parallel bool) ([]string, int64) {
 	t.Helper()
 	d, err := db.Parse(dbText)
@@ -103,6 +106,8 @@ func directModels(t *testing.T, dbText, kind string, parallel bool) ([]string, i
 	}
 	var it models.ModelIterator
 	switch {
+	case kind == "minimal" && !parallel && strat.HeadCycleFree(d):
+		it = models.IterateMinimalModelsHCF(d, o, 0)
 	case kind == "minimal" && parallel:
 		it = eng.IterateMinimalModelsPar(0, models.ParOptions{})
 	case kind == "minimal":
@@ -121,9 +126,19 @@ func directModels(t *testing.T, dbText, kind string, parallel bool) ([]string, i
 // TestStreamMatchesBuffered: the streamed model set (and, for the
 // serial enumerators, the exact NP-call count) is identical to a direct
 // buffered library enumeration — for both kinds, with and without the
-// parallel worker pool, with and without warm sessions.
+// parallel worker pool, with and without warm sessions, on a
+// head-cycle-free database and on one with a head cycle, which keeps
+// the generic minimal-model family.
 func TestStreamMatchesBuffered(t *testing.T) {
-	dbText := "a | b. b | c. d :- a. e | a :- c."
+	for _, dbText := range []string{
+		"a | b. b | c. d :- a. e | a :- c.",
+		"a | b. a :- b. b :- a.",
+	} {
+		testStreamMatchesBuffered(t, dbText)
+	}
+}
+
+func testStreamMatchesBuffered(t *testing.T, dbText string) {
 	for _, sessions := range []bool{false, true} {
 		srv := New(Config{Sessions: sessions})
 		ts := httptest.NewServer(srv.Handler())
@@ -147,15 +162,15 @@ func TestStreamMatchesBuffered(t *testing.T) {
 				}
 				sort.Strings(rows)
 				if fmt.Sprint(rows) != fmt.Sprint(wantRows) {
-					t.Fatalf("%s parallel=%v sessions=%v: streamed %v, library %v",
-						kind, parallel, sessions, rows, wantRows)
+					t.Fatalf("%q %s parallel=%v sessions=%v: streamed %v, library %v",
+						dbText, kind, parallel, sessions, rows, wantRows)
 				}
 				// NP totals are deterministic per enumerator family: the
 				// streamed run must cost exactly what the buffered library
 				// run through the same family costs.
 				if done.Counters.NPCalls != wantNP {
-					t.Fatalf("%s parallel=%v sessions=%v: stream NP %d, library %d",
-						kind, parallel, sessions, done.Counters.NPCalls, wantNP)
+					t.Fatalf("%q %s parallel=%v sessions=%v: stream NP %d, library %d",
+						dbText, kind, parallel, sessions, done.Counters.NPCalls, wantNP)
 				}
 			}
 		}
@@ -200,6 +215,65 @@ func TestStreamBudgetTrip(t *testing.T) {
 	}
 	if len(rows) == 0 {
 		t.Fatalf("budget of 3 NP calls emitted no rows before tripping")
+	}
+}
+
+// TestStreamBudgetTripHCF: the head-cycle-free minimal-model stream
+// trips the same ceiling with the same typed cause. Its solver build
+// and two models spend the 3 calls, so the third model trips.
+func TestStreamBudgetTripHCF(t *testing.T) {
+	srv := New(Config{Ceilings: budget.Limits{NPCalls: 3}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp := openStream(t, ts, context.Background(), StreamRequest{DB: "a | b | c | d | e.", Kind: "minimal"})
+	rows, done := scanStream(t, resp)
+	if done.Cause != CauseNPCallBudget || len(rows) != 2 || done.Counters.NPCalls != 3 {
+		t.Fatalf("cause %q after %d rows and %d NP calls, want %q after 2 rows and 3 calls",
+			done.Cause, len(rows), done.Counters.NPCalls, CauseNPCallBudget)
+	}
+	if got := healthOf(t, ts).Stats["stream_hcf"]; got != 1 {
+		t.Fatalf("stream_hcf = %d, want 1", got)
+	}
+}
+
+// TestStreamHCFCost: a serial minimal-model stream on a head-cycle-free
+// database costs exactly models + 1 NP calls and bumps stream_hcf; a
+// head-cycle database, a parallel request and kind "models" do not
+// take that iterator.
+func TestStreamHCFCost(t *testing.T) {
+	for _, sessions := range []bool{false, true} {
+		srv := New(Config{Sessions: sessions})
+		ts := httptest.NewServer(srv.Handler())
+		for i, tc := range []struct {
+			req StreamRequest
+			hcf bool
+		}{
+			{StreamRequest{DB: "a | c. a :- b. b :- a.", Kind: "minimal"}, true},
+			{StreamRequest{DB: "x1 | x2 | x3. y1 | y2 :- x1. :- x2, y1.", Kind: "minimal"}, true},
+			{StreamRequest{DB: "a | b. a :- b. b :- a.", Kind: "minimal"}, false},
+			{StreamRequest{DB: "a | c. a :- b. b :- a.", Kind: "minimal", Parallel: true}, false},
+			{StreamRequest{DB: "a | c. a :- b. b :- a."}, false},
+		} {
+			before := healthOf(t, ts).Stats["stream_hcf"]
+			for repeat := 0; repeat < 2; repeat++ { // the second sighting is a cached artifact
+				rows, done := scanStream(t, openStream(t, ts, context.Background(), tc.req))
+				if done.Cause != StreamCauseComplete {
+					t.Fatalf("case %d: cause %q", i, done.Cause)
+				}
+				if tc.hcf && done.Counters.NPCalls != int64(len(rows))+1 {
+					t.Fatalf("case %d sessions=%v: %d NP calls for %d models, want models + 1",
+						i, sessions, done.Counters.NPCalls, len(rows))
+				}
+			}
+			want := int64(0)
+			if tc.hcf {
+				want = 2
+			}
+			if got := healthOf(t, ts).Stats["stream_hcf"] - before; got != want {
+				t.Fatalf("case %d sessions=%v: stream_hcf rose by %d, want %d", i, sessions, got, want)
+			}
+		}
+		ts.Close()
 	}
 }
 

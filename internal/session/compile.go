@@ -122,6 +122,9 @@ type Compiled struct {
 	// digestOnce/digest: see textDigest.
 	digestOnce sync.Once
 	digest     string
+	// hcfOnce/hcf: see HeadCycleFree.
+	hcfOnce sync.Once
+	hcf     bool
 }
 
 // Compile builds the artifact for a database parsed from text (the
@@ -180,6 +183,14 @@ func (c *Compiled) textDigest() string {
 		c.digest = hex.EncodeToString(sum[:16])
 	})
 	return c.digest
+}
+
+// HeadCycleFree reports strat.HeadCycleFree(c.D), computed on first
+// use and kept: only minimal-model streams ask, so query traffic never
+// pays for it.
+func (c *Compiled) HeadCycleFree() bool {
+	c.hcfOnce.Do(func() { c.hcf = strat.HeadCycleFree(c.D) })
+	return c.hcf
 }
 
 // classify determines the fragment and precomputes its fixpoint model.

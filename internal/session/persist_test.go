@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -279,5 +280,41 @@ func TestPrewarmKeyedLegacyLog(t *testing.T) {
 func TestPrewarmWithoutStore(t *testing.T) {
 	if _, err := NewManager(Config{}).Prewarm(); err == nil {
 		t.Fatal("Prewarm without store succeeded")
+	}
+}
+
+// TestPrewarmDropsReservedWordText: a persisted artifact whose text
+// names an atom "not" — accepted before "not" became a keyword — is a
+// whole record, so recovery keeps it (no torn tail, nothing truncated)
+// and Prewarm drops it on the "does not compile" path, while the valid
+// record beside it loads.
+func TestPrewarmDropsReservedWordText(t *testing.T) {
+	const reserved = "not | a.\n"
+	if _, err := db.Parse(reserved); !errors.Is(err, db.ErrReservedWord) {
+		t.Fatalf("Parse(%q) = %v, want ErrReservedWord", reserved, err)
+	}
+	dir := t.TempDir()
+	s1 := openStore(t, dir)
+	s1.PutArtifact(store.Artifact{Text: reserved, Frag: uint8(FragGeneral)})
+	s1.PutArtifact(store.Artifact{Text: generalDB, Frag: uint8(FragGeneral)})
+	s1.Close()
+
+	s2, rec, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer s2.Close()
+	if rec.TornTail || rec.Dropped != 0 || rec.Artifacts != 2 {
+		t.Fatalf("recovery = %+v, want both records whole", rec)
+	}
+	m := NewManager(Config{Store: s2})
+	if n, err := m.Prewarm(); err != nil || n != 1 {
+		t.Fatalf("Prewarm loaded %d (err %v), want 1: the reserved-word text must be dropped", n, err)
+	}
+	if comp, ok := m.Lookup(reserved); ok || comp != nil {
+		t.Fatalf("reserved-word text was cached")
+	}
+	if _, ok := m.Lookup(generalDB); !ok {
+		t.Fatalf("valid artifact beside it was not pre-warmed")
 	}
 }

@@ -10,9 +10,17 @@
 // be found efficiently (the paper: "Notice that a stratification of DB
 // can be efficiently found") — we compute the canonical least one via
 // the dependency graph's strongly connected components.
+//
+// The same components pass (scc.go) serves the positive dependency
+// graph: HeadCycleFree tests whether a database is head-cycle-free,
+// and Support writes the completion-plus-ranking encoding that PWS
+// uses for possible models and the head-cycle-free minimal-model
+// iterator of package models uses for the shifted program.
 package strat
 
 import (
+	"slices"
+
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
 )
@@ -30,13 +38,6 @@ func (s Stratification) Strata() [][]logic.Atom {
 		out[l] = append(out[l], logic.Atom(a))
 	}
 	return out
-}
-
-// depEdge is an edge of the dependency graph with a flag for negative
-// or disjunctive ("same stratum" constraint is handled separately).
-type depEdge struct {
-	to  int
-	neg bool // through negation: strictly higher stratum required
 }
 
 // Compute attempts to stratify d. It returns the canonical
@@ -57,40 +58,53 @@ type depEdge struct {
 // condensation (SCC) DAG.
 func Compute(d *db.DB) (Stratification, bool) {
 	n := d.N()
-	adj := make([][]depEdge, n)
-	addEdge := func(from, to logic.Atom, neg bool) {
-		adj[from] = append(adj[from], depEdge{int(to), neg})
-	}
-	for _, c := range d.Clauses {
-		for _, h := range c.Head {
-			for _, b := range c.PosBody {
-				addEdge(b, h, false)
+	// The edges in the layout of sccs, with neg[e] marking a negative
+	// edge to[e]: count each atom's out-degree, then fill.
+	off := make([]int, n+1)
+	each := func(edge func(from, to logic.Atom, neg bool)) {
+		for _, c := range d.Clauses {
+			for _, h := range c.Head {
+				for _, b := range c.PosBody {
+					edge(b, h, false)
+				}
+				for _, cn := range c.NegBody {
+					edge(cn, h, true)
+				}
 			}
-			for _, cn := range c.NegBody {
-				addEdge(cn, h, true)
+			// Head atoms must share a stratum: bidirectional zero edges.
+			for i := 1; i < len(c.Head); i++ {
+				edge(c.Head[0], c.Head[i], false)
+				edge(c.Head[i], c.Head[0], false)
 			}
 		}
-		// Head atoms must share a stratum: bidirectional zero edges.
-		for i := 1; i < len(c.Head); i++ {
-			addEdge(c.Head[0], c.Head[i], false)
-			addEdge(c.Head[i], c.Head[0], false)
-		}
 	}
+	each(func(from, _ logic.Atom, _ bool) { off[from+1]++ })
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	to, neg := make([]int, off[n]), make([]bool, off[n])
+	fill := slices.Clone(off[:n])
+	each(func(from, t logic.Atom, ng bool) {
+		to[fill[from]], neg[fill[from]] = int(t), ng
+		fill[from]++
+	})
 
-	comp, nComp := tarjanSCC(n, adj)
+	comp := make([]int, n)
+	var w sccWork
+	_, nComp := w.sccs(off, to, comp, nil)
 
 	// A negative edge inside one SCC makes the DB unstratifiable.
 	for u := 0; u < n; u++ {
-		for _, e := range adj[u] {
-			if e.neg && comp[u] == comp[e.to] {
+		for e := off[u]; e < off[u+1]; e++ {
+			if neg[e] && comp[u] == comp[to[e]] {
 				return Stratification{}, false
 			}
 		}
 	}
 
 	// Longest path by negative-edge count over the condensation DAG.
-	// Components are produced by Tarjan in reverse topological order,
-	// so process them from last to first.
+	// Components are numbered in reverse topological order, so process
+	// them from last to first.
 	compLevel := make([]int, nComp)
 	order := make([][]int, nComp) // atoms per component
 	for u := 0; u < n; u++ {
@@ -98,13 +112,13 @@ func Compute(d *db.DB) (Stratification, bool) {
 	}
 	for ci := nComp - 1; ci >= 0; ci-- {
 		for _, u := range order[ci] {
-			for _, e := range adj[u] {
-				cj := comp[e.to]
+			for e := off[u]; e < off[u+1]; e++ {
+				cj := comp[to[e]]
 				if cj == ci {
 					continue
 				}
 				need := compLevel[ci]
-				if e.neg {
+				if neg[e] {
 					need++
 				}
 				if compLevel[cj] < need {
@@ -183,82 +197,6 @@ func Layers(d *db.DB, s Stratification) []*db.DB {
 		out[idx].Clauses = append(out[idx].Clauses, c)
 	}
 	return out
-}
-
-// tarjanSCC computes strongly connected components; comp[v] is the
-// component index of v, and components are numbered in reverse
-// topological order (Tarjan's invariant).
-func tarjanSCC(n int, adj [][]depEdge) (comp []int, nComp int) {
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var counter int
-
-	// Iterative Tarjan to avoid deep recursion on large graphs.
-	type frame struct {
-		v, ei int
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		frames := []frame{{start, 0}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei].to
-				f.ei++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
-				}
-				continue
-			}
-			// Post-process v.
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
-					}
-				}
-				nComp++
-			}
-		}
-	}
-	return comp, nComp
 }
 
 // Classify returns the full classification of d per the paper's
