@@ -160,9 +160,11 @@ func TestHandoffImportRejectsStaleArtifacts(t *testing.T) {
 	if arts != 0 {
 		t.Fatalf("stale artifact accepted: %d", arts)
 	}
-	h2 := session.Handoff{Artifacts: []session.HandoffArtifact{{
-		Text: "not ( parseable", Raw: "junk", Frag: 0,
-	}}}
+	h2 := session.Handoff{Artifacts: []session.HandoffArtifact{
+		{Text: "not ( parseable", Raw: "junk", Frag: 0},
+		// Accepted before "not" became a keyword; now it does not parse.
+		{Text: "not | a.", Raw: session.RawKey(2, logic.CNF{{0, 2}}), Frag: uint8(session.FragGeneral)},
+	}}
 	if arts, _ := dst.Import(h2); arts != 0 {
 		t.Fatalf("unparseable artifact accepted: %d", arts)
 	}
